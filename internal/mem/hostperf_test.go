@@ -8,6 +8,7 @@ package mem
 // paths in isolation).
 
 import (
+	"fmt"
 	"testing"
 
 	"stacktrack/internal/word"
@@ -109,28 +110,57 @@ func BenchmarkPlainWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkTxSegment measures a short transactional segment (begin, a few
-// reads and buffered writes, commit) — the HTM hot path.
+// BenchmarkTxSegment measures short transactional segments — the HTM hot
+// path. "read-write" is begin, a few reads, one buffered write, commit.
+// "frame-local" mirrors a StackTrack segment touching its thread's frame:
+// write k words of one line, read them back (store-to-load forwarding),
+// then read a line the transaction does not own.
 func BenchmarkTxSegment(b *testing.B) {
 	m := New(Config{Words: 1 << 14, NoReuse: true})
 	for a := word.Addr(0); a < 1<<10; a++ {
 		m.WritePlain(0, a, uint64(a))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tx := m.Begin(0)
-		base := word.Addr(i) & (1<<10 - 8)
-		for k := word.Addr(0); k < 4; k++ {
-			if _, _, r := m.TxRead(tx, base+k); r != NoAbort {
+	b.Run("read-write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tx := m.Begin(0)
+			base := word.Addr(i) & (1<<10 - 8)
+			for k := word.Addr(0); k < 4; k++ {
+				if _, _, r := m.TxRead(tx, base+k); r != NoAbort {
+					b.Fatal(r)
+				}
+			}
+			if _, r := m.TxWrite(tx, base, uint64(i)); r != NoAbort {
+				b.Fatal(r)
+			}
+			if r := m.Commit(tx); r != NoAbort {
 				b.Fatal(r)
 			}
 		}
-		if _, r := m.TxWrite(tx, base, uint64(i)); r != NoAbort {
-			b.Fatal(r)
-		}
-		if r := m.Commit(tx); r != NoAbort {
-			b.Fatal(r)
-		}
+	})
+	const frame = word.Addr(1 << 12) // a line of its own, above the data
+	for _, k := range []word.Addr{2, 8} {
+		b.Run(fmt.Sprintf("frame-local/k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tx := m.Begin(0)
+				for w := word.Addr(0); w < k; w++ {
+					if _, r := m.TxWrite(tx, frame+w, uint64(i)); r != NoAbort {
+						b.Fatal(r)
+					}
+				}
+				for w := word.Addr(0); w < k; w++ {
+					if v, _, r := m.TxRead(tx, frame+w); r != NoAbort || v != uint64(i) {
+						b.Fatal(v, r)
+					}
+				}
+				if _, _, r := m.TxRead(tx, word.Addr(i)&(1<<10-1)); r != NoAbort {
+					b.Fatal(r)
+				}
+				if r := m.Commit(tx); r != NoAbort {
+					b.Fatal(r)
+				}
+			}
+		})
 	}
 }

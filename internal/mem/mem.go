@@ -82,6 +82,14 @@ type Config struct {
 	NoReuse bool
 }
 
+// writerBits is the width of the owner field in a lineWriter word: tid+1
+// is at most MaxThreads. The write-buffer entry index above it is below
+// wbMaxWords, so the whole word fits an int32.
+const (
+	writerBits = 8
+	writerMask = 1<<writerBits - 1
+)
+
 // Memory is the simulated memory system. All methods take the simulated
 // thread id performing the access so conflicts can be attributed.
 type Memory struct {
@@ -90,8 +98,9 @@ type Memory struct {
 	// lineReaders[l] has bit t set iff thread t's active transaction has
 	// line l in its read set.
 	lineReaders []uint64
-	// lineWriter[l] is tid+1 of the transaction owning line l for write,
-	// or 0.
+	// lineWriter[l]&writerMask is tid+1 of the transaction owning line l
+	// for write, or 0. The bits above writerBits hold the index of l's
+	// entry in that transaction's write buffer.
 	lineWriter []int32
 
 	// Coherence-cost model (MESI-flavoured): sharers[l] has bit t set iff
@@ -333,7 +342,7 @@ func (m *Memory) readPlainSlow(tid int, a word.Addr) (uint64, bool) {
 	m.c.plainReads.Inc(tid)
 	l := word.Line(a)
 	if m.liveTx > 0 {
-		if w := m.lineWriter[l]; w != 0 && int(w-1) != tid {
+		if w := m.lineWriter[l] & writerMask; w != 0 && int(w-1) != tid {
 			m.doom(int(w-1), Conflict)
 		}
 	}
@@ -430,7 +439,7 @@ func (m *Memory) Poke(a word.Addr, v uint64) {
 // doomLineConflicts dooms every transaction (other than tid's) with line l
 // in its data set, as a write-acquisition by tid would on real hardware.
 func (m *Memory) doomLineConflicts(tid int, l uint64) {
-	if w := m.lineWriter[l]; w != 0 && int(w-1) != tid {
+	if w := m.lineWriter[l] & writerMask; w != 0 && int(w-1) != tid {
 		m.doom(int(w-1), Conflict)
 	}
 	if r := m.lineReaders[l]; r != 0 {
@@ -467,7 +476,7 @@ func (m *Memory) releaseLines(tx *Tx) {
 	}
 	owner := int32(tx.tid + 1)
 	for _, l := range tx.writeLines {
-		if m.lineWriter[l] == owner {
+		if m.lineWriter[l]&writerMask == owner {
 			m.lineWriter[l] = 0
 		}
 	}

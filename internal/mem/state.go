@@ -62,9 +62,12 @@ func (m *Memory) SaveState() *State {
 		TotalWords:  len(m.words),
 		Words:       append([]uint64(nil), m.words[:hi]...),
 		LineReaders: append([]uint64(nil), m.lineReaders[:lines]...),
-		LineWriter:  append([]int32(nil), m.lineWriter[:lines]...),
+		LineWriter:  make([]int32, lines),
 		Sharers:     append([]uint64(nil), m.sharers[:lines]...),
 		LastW:       append([]int32(nil), m.lastW[:lines]...),
+	}
+	for l := range s.LineWriter {
+		s.LineWriter[l] = m.lineWriter[l] & writerMask
 	}
 	for tid := 0; tid < MaxThreads; tid++ {
 		tx := m.txs[tid]
@@ -78,9 +81,8 @@ func (m *Memory) SaveState() *State {
 			ReadLines:  append([]uint64(nil), tx.readLines...),
 			WriteLines: append([]uint64(nil), tx.writeLines...),
 		}
-		for _, a := range tx.buf.order {
-			v, _ := tx.buf.get(a)
-			d.Writes = append(d.Writes, TxWriteState{Addr: a, Val: v})
+		for n := range tx.buf.order {
+			d.Writes = append(d.Writes, tx.buf.write(n))
 		}
 		s.Txs = append(s.Txs, d)
 	}
@@ -124,11 +126,21 @@ func (m *Memory) RestoreState(s *State) {
 			reason:     d.Reason,
 			readLines:  append(make([]uint64, 0, 512), d.ReadLines...),
 			writeLines: append(make([]uint64, 0, 128), d.WriteLines...),
-			buf:        newWriteBuf(),
 		}
-		tx.buf.reset()
+		entry := make(map[uint64]int) // line → its write-buffer entry
 		for _, w := range d.Writes {
-			tx.buf.put(w.Addr, w.Val)
+			l := word.Line(w.Addr)
+			i, ok := entry[l]
+			if !ok {
+				i = len(tx.buf.lines)
+				entry[l] = i
+			}
+			tx.buf.put(i, l, w.Addr, w.Val)
+		}
+		if tx.state == TxActive {
+			for i, e := range tx.buf.lines {
+				m.lineWriter[e.line] |= int32(i) << writerBits
+			}
 		}
 		m.txs[d.Tid] = tx
 		if tx.state == TxActive {

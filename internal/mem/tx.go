@@ -2,74 +2,80 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stacktrack/internal/word"
 )
 
-// wbSize is the write-buffer hash table size. It comfortably exceeds the
-// largest possible write set (L1Lines lines × LineWords words) so the table
-// never saturates before a capacity abort fires.
-const wbSize = 1 << 14
+// wbMaxWords caps the write buffer at 8192 distinct words. A TxWrite made
+// while that many words are buffered raises a Capacity abort, even when it
+// overwrites a word already in the buffer. The L1 line budget usually binds
+// first (512 lines × 8 words = 4096 words on the default topology), but a
+// topology with a larger L1Lines reaches this cap instead.
+const wbMaxWords = 1 << 13
 
-type wbEntry struct {
-	addr  word.Addr
-	val   uint64
-	stamp uint64
+// wbLine is one written cache line in the write buffer: the line number,
+// the speculative value of each of its words, and a mask of the words that
+// hold one.
+type wbLine struct {
+	line  uint64
+	valid uint8 // bit k set iff vals[k] is buffered
+	vals  [word.LineWords]uint64
 }
 
-// writeBuf is the transaction's speculative store buffer: an open-addressing
-// hash table stamped per transaction so reset is O(1), plus an insertion-
-// order list for commit write-back.
+// writeBuf is the transaction's speculative store buffer, one entry per
+// line the transaction has written. While the transaction is TxActive,
+// every buffered word lies on a line it owns: TxWrite acquires the line
+// before buffering, and ownership is dropped only by releaseLines, which
+// runs exactly when the transaction leaves TxActive. The owner's
+// lineWriter word carries the line's entry index, so an access finds its
+// entry with the load that checks ownership, and only reads of owned lines
+// look here at all.
 type writeBuf struct {
-	tab   []wbEntry
-	order []word.Addr
-	stamp uint64
-}
-
-func newWriteBuf() *writeBuf {
-	return &writeBuf{tab: make([]wbEntry, wbSize), order: make([]word.Addr, 0, 256)}
+	lines []wbLine // first write first
+	// order lists the distinct buffered words, oldest first, each as its
+	// entry index << LineShift | word within the line.
+	order []uint32
 }
 
 func (b *writeBuf) reset() {
-	b.stamp++
+	b.lines = b.lines[:0]
 	b.order = b.order[:0]
 }
 
-func (b *writeBuf) slot(a word.Addr) int {
-	h := uint64(a) * 0x9E3779B97F4A7C15
-	i := int(h >> (64 - 14))
-	for {
-		e := &b.tab[i]
-		if e.stamp != b.stamp || e.addr == a {
-			return i
-		}
-		i = (i + 1) & (wbSize - 1)
-	}
+// get returns the buffered value of a, whose line is entry i, if any.
+func (b *writeBuf) get(i int, a word.Addr) (uint64, bool) {
+	e := &b.lines[i]
+	k := uint(a) & (word.LineWords - 1)
+	return e.vals[k], e.valid&(1<<k) != 0
 }
 
-// get returns the buffered value for a, if any.
-func (b *writeBuf) get(a word.Addr) (uint64, bool) {
-	e := &b.tab[b.slot(a)]
-	if e.stamp == b.stamp && e.addr == a {
-		return e.val, true
-	}
-	return 0, false
-}
-
-// put records a speculative store. It reports false if the buffer is full
-// (treated as a capacity overflow by the caller).
-func (b *writeBuf) put(a word.Addr, v uint64) bool {
-	if len(b.order) >= wbSize/2 {
+// put records a speculative store to a, which lies on line l: entry i,
+// or a new entry when i == len(b.lines). It reports false once the buffer
+// holds wbMaxWords words (treated as a capacity overflow by the caller).
+func (b *writeBuf) put(i int, l uint64, a word.Addr, v uint64) bool {
+	if len(b.order) >= wbMaxWords {
 		return false
 	}
-	e := &b.tab[b.slot(a)]
-	if e.stamp == b.stamp && e.addr == a {
-		e.val = v
-		return true
+	if i == len(b.lines) {
+		b.lines = append(b.lines, wbLine{line: l})
 	}
-	*e = wbEntry{addr: a, val: v, stamp: b.stamp}
-	b.order = append(b.order, a)
+	e := &b.lines[i]
+	k := uint(a) & (word.LineWords - 1)
+	if e.valid&(1<<k) == 0 {
+		e.valid |= 1 << k
+		b.order = append(b.order, uint32(i)<<word.LineShift|uint32(k))
+	}
+	e.vals[k] = v
 	return true
+}
+
+// write returns the n-th distinct buffered word, oldest first.
+func (b *writeBuf) write(n int) TxWriteState {
+	o := b.order[n]
+	e := &b.lines[o>>word.LineShift]
+	k := o & (word.LineWords - 1)
+	return TxWriteState{Addr: word.Addr(e.line<<word.LineShift | uint64(k)), Val: e.vals[k]}
 }
 
 // Tx is a hardware-transaction descriptor. A thread owns at most one at a
@@ -82,7 +88,7 @@ type Tx struct {
 
 	readLines  []uint64
 	writeLines []uint64
-	buf        *writeBuf
+	buf        writeBuf
 }
 
 // Tid returns the owning thread id.
@@ -110,7 +116,6 @@ func (m *Memory) Begin(tid int) *Tx {
 			tid:        tid,
 			readLines:  make([]uint64, 0, 512),
 			writeLines: make([]uint64, 0, 128),
-			buf:        newWriteBuf(),
 		}
 		m.txs[tid] = tx
 	}
@@ -156,21 +161,22 @@ func (m *Memory) TxRead(tx *Tx, a word.Addr) (uint64, bool, AbortReason) {
 		return 0, false, tx.reason
 	}
 	m.c.txReads.Inc(tx.tid)
-	if len(tx.buf.order) > 0 { // store-to-load forwarding
-		if v, ok := tx.buf.get(a); ok {
-			return v, false, NoAbort
-		}
-	}
 	l := word.Line(a)
 	bit := uint64(1) << uint(tx.tid)
-	if m.lineReaders[l]&bit == 0 && m.lineWriter[l] != int32(tx.tid+1) {
+	w := m.lineWriter[l]
+	if w&writerMask == int32(tx.tid+1) {
+		// Store-to-load forwarding: buffered words lie only on owned lines.
+		if v, ok := tx.buf.get(int(w>>writerBits), a); ok {
+			return v, false, NoAbort
+		}
+	} else if m.lineReaders[l]&bit == 0 {
 		// New line for this transaction: check capacity, then conflicts.
 		if len(tx.readLines) >= m.readCap(tx.tid) {
 			m.selfAbort(tx, Capacity)
 			return 0, false, Capacity
 		}
-		if w := m.lineWriter[l]; w != 0 {
-			m.doom(int(w-1), Conflict)
+		if w != 0 {
+			m.doom(int(w&writerMask-1), Conflict)
 		}
 		m.lineReaders[l] |= bit
 		tx.readLines = append(tx.readLines, l)
@@ -195,18 +201,20 @@ func (m *Memory) TxWrite(tx *Tx, a word.Addr, v uint64) (bool, AbortReason) {
 	m.c.txWrites.Inc(tx.tid)
 	l := word.Line(a)
 	miss := false
-	if m.lineWriter[l] != int32(tx.tid+1) {
+	w := m.lineWriter[l]
+	if w&writerMask != int32(tx.tid+1) {
 		if len(tx.writeLines) >= m.writeCap(tx.tid) {
 			m.selfAbort(tx, Capacity)
 			return false, Capacity
 		}
 		m.doomLineConflicts(tx.tid, l)
-		m.lineWriter[l] = int32(tx.tid + 1)
+		w = int32(len(tx.buf.lines))<<writerBits | int32(tx.tid+1)
+		m.lineWriter[l] = w
 		tx.writeLines = append(tx.writeLines, l)
 		m.c.linesWritten.Inc(tx.tid)
 		miss = m.writeTouch(tx.tid, l)
 	}
-	if !tx.buf.put(a, v) {
+	if !tx.buf.put(int(w>>writerBits), l, a, v) {
 		m.selfAbort(tx, Capacity)
 		return false, Capacity
 	}
@@ -276,9 +284,13 @@ func (m *Memory) Commit(tx *Tx) AbortReason {
 	if tx.state != TxActive {
 		return tx.reason
 	}
-	for _, a := range tx.buf.order {
-		v, _ := tx.buf.get(a)
-		m.words[a] = v
+	for i := range tx.buf.lines {
+		e := &tx.buf.lines[i]
+		base := e.line << word.LineShift
+		for k := e.valid; k != 0; k &= k - 1 {
+			w := bits.TrailingZeros8(k)
+			m.words[base+uint64(w)] = e.vals[w]
+		}
 	}
 	m.c.committedActions.Add(tx.tid, uint64(len(tx.buf.order)))
 	m.releaseLines(tx)

@@ -24,6 +24,12 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== perfbench: go vet + go test =="
+# perfbench is a nested module (it imports this one via `replace ../`),
+# so the root `./...` patterns above never reach it. Vet and test it
+# here so an internal API change that breaks the benchmark fails lint.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== stlint (statesem, simclock, metrichandle, effectdecl) =="
 go run ./cmd/stlint -root .
 
