@@ -19,7 +19,12 @@
 //
 // The simulator is deterministic, so -compare demands exact counter
 // equality by default (-counter-tol relaxes it); throughput and derived
-// rates are allowed -tol relative drift (default 10%).
+// rates are allowed -tol relative drift (default 10%). The regression
+// gate for simulated numbers is byte-identity: scripts/bench_gate.sh
+// regenerates the committed baselines with -baseline and cmp's them,
+// running -compare -tol 0 in the same invocation so that a mismatch
+// names every metric that moved. Host speed is measured by perfbench,
+// not by stbench.
 //
 // SIGINT/SIGTERM cancel cooperatively: the running sweep stops at the
 // next scheduling-decision boundary, completed experiments (and the
@@ -59,7 +64,6 @@ func main() {
 		profile    = flag.Bool("profile", false, "enable the virtual-cycle profiler on every point")
 		checkEff   = flag.Bool("check-effects", false, "arm the effect-soundness oracle on every point (declared effects vs executed accesses)")
 		noElide    = flag.Bool("no-scan-elide", false, "disable dataflow-driven scan elision (scan every frame word and register)")
-		hostLegacy = flag.Bool("host-legacy", false, "force the pre-optimization host code paths (simulated results are identical; only host speed changes)")
 	)
 	prof := cli.ProfileFlags(flag.CommandLine)
 	flag.Parse()
@@ -70,12 +74,6 @@ func main() {
 		cli.Exit(cli.ExitUsage)
 	}
 	defer stopProf()
-
-	// E17 measures host wall-clock; simulated packages may not read host
-	// clocks (simclock), so the clock is injected from out here. A
-	// monotonic base makes the measurement immune to wall-clock steps.
-	procStart := time.Now()
-	bench.HostClock = func() int64 { return int64(time.Since(procStart)) }
 
 	if *list {
 		for _, line := range bench.ExperimentInventory() {
@@ -102,7 +100,6 @@ func main() {
 	opts.Profile = *profile
 	opts.CheckEffects = *checkEff
 	opts.NoScanElide = *noElide
-	opts.HostLegacy = *hostLegacy
 	if *threads != "" {
 		parsed, err := cli.ParseIntList(*threads)
 		if err != nil {

@@ -25,15 +25,6 @@ func TestEveryExperimentProducesATable(t *testing.T) {
 				opts.Threads = []int{3}
 				opts.MeasureMs = 2
 			}
-			if e.Name == "host-selftest" {
-				// E17 refuses to run without an injected wall clock, and
-				// test code may not read host clocks (simclock lint), so
-				// hand it a deterministic counter: the table still forms,
-				// the timings are just meaningless here.
-				var ticks int64
-				HostClock = func() int64 { ticks += 1e6; return ticks }
-				defer func() { HostClock = nil }()
-			}
 			tb, err := e.Run(opts)
 			if err != nil {
 				t.Fatal(err)

@@ -139,15 +139,6 @@ type Config struct {
 	// in Result.San.Effects. Observes only — simulated results are
 	// bit-identical with it on or off.
 	CheckEffects bool
-
-	// hostLegacy forces the pre-optimization host code paths (scheduler
-	// runnable rescan, slow plain memory accesses, no memory reuse). It
-	// changes nothing simulated — the E17 host-throughput experiment uses
-	// it to measure the optimized paths against their legacy equivalents.
-	// Unexported on purpose: it is invisible to ConfigKey/content
-	// addressing (encoding/json skips unexported fields), exactly because
-	// it cannot change a single simulated bit. Set via Options.HostLegacy.
-	hostLegacy bool
 }
 
 // WithDefaults fills unset fields with the paper's parameters.
@@ -220,16 +211,9 @@ type Result struct {
 
 	// Decisions is the scheduler's total decision count for the whole
 	// run — the unit of host interpreter work (one per basic block step,
-	// blocked-wait poll, or preemption choice). The host-throughput
-	// selftest (E17) aggregates it; it is not part of the exported
-	// point document.
+	// blocked-wait poll, or preemption choice). It is not part of the
+	// exported point document.
 	Decisions uint64
-
-	// HostDerived carries host-side derived metrics (wall-clock rates)
-	// for synthetic points like E17's. The JSON exporter merges it into
-	// the point's Derived map. Always nil for simulated results, so
-	// committed baselines are untouched.
-	HostDerived map[string]float64
 
 	// SuccInserts/SuccDeletes/Hits classify operations completed during
 	// the measurement window.
@@ -364,13 +348,9 @@ func newInstance(cfg Config) (*instance, error) {
 
 	in := &instance{cfg: cfg}
 	in.reg = metrics.NewRegistry()
-	in.m = mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology, Metrics: in.reg, NoReuse: cfg.hostLegacy})
+	in.m = mem.New(mem.Config{Words: cfg.MemWords, Topology: cfg.Topology, Metrics: in.reg})
 	in.al = alloc.New(in.m)
 	in.sc = sched.NewScheduler(in.m, cfg.Topology, cfg.Seed)
-	if cfg.hostLegacy {
-		in.m.SetLegacyPlain(true)
-		in.sc.SetLegacyScan(true)
-	}
 	if cfg.Profile {
 		in.prof = metrics.NewProfiler()
 	}

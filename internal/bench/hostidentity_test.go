@@ -2,14 +2,17 @@ package bench
 
 // Bit-identity guard for the host-path optimizations: every structure ×
 // scheme × thread-count point must produce byte-identical simulated
-// results with the optimized host paths and with the legacy paths forced
-// (Config.hostLegacy). This is the in-process version of the check E17
-// performs on the full list sweep; it covers all five structures.
+// results on the optimized host paths and on the reference paths — the
+// slow plain-access route of internal/mem (taken whenever an observer is
+// installed) and the scheduler's per-decision runnable rescan.
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 
 	"stacktrack/internal/cost"
+	"stacktrack/internal/word"
 )
 
 // identitySchemes returns the scheme set the paper evaluates on a
@@ -20,6 +23,47 @@ func identitySchemes(structure string) []string {
 		s = append(s, SchemeDTA)
 	}
 	return s
+}
+
+// simDigest is the part of a point the two paths must agree on bit for
+// bit: everything simulated, nothing host-derived.
+func simDigest(series string, threads int, res *Result) ([]byte, error) {
+	return json.Marshal(struct {
+		Series  string
+		Threads int
+		Ops     uint64
+		Metrics any
+	}{series, threads, res.Ops, res.Metrics})
+}
+
+// nopObserver watches nothing. Installing it routes every plain access
+// of a Memory through the slow reference path without changing what is
+// simulated.
+type nopObserver struct{}
+
+func (nopObserver) PlainRead(int, word.Addr)            {}
+func (nopObserver) PlainWrite(int, word.Addr)           {}
+func (nopObserver) SyncRMW(int, word.Addr, bool)        {}
+func (nopObserver) TxBegin(int)                         {}
+func (nopObserver) TxRead(int, word.Addr)               {}
+func (nopObserver) TxWrite(int, word.Addr)              {}
+func (nopObserver) TxCommit(int)                        {}
+func (nopObserver) SyncHint(int, word.Addr, bool, bool) {}
+
+// runReference runs cfg on the reference host paths: the slow plain
+// memory route and the scheduler's full rescan.
+func runReference(cfg Config) (*Result, error) {
+	s, err := NewSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.in.m.SetObserver(nopObserver{})
+	s.in.sc.SetLegacyScan(true)
+	res, err := s.Finish()
+	if err == nil {
+		s.in.m.Release()
+	}
+	return res, err
 }
 
 func TestHostPathsBitIdentical(t *testing.T) {
@@ -41,35 +85,66 @@ func TestHostPathsBitIdentical(t *testing.T) {
 					MemWords:      1 << 20,
 					Validate:      true,
 				}
-				legacyCfg := cfg
-				legacyCfg.hostLegacy = true
-
 				opt, err := Run(cfg)
 				if err != nil {
 					t.Fatalf("%s/%s/%d optimized: %v", structure, scheme, threads, err)
 				}
-				leg, err := Run(legacyCfg)
+				ref, err := runReference(cfg)
 				if err != nil {
-					t.Fatalf("%s/%s/%d legacy: %v", structure, scheme, threads, err)
+					t.Fatalf("%s/%s/%d reference: %v", structure, scheme, threads, err)
 				}
 				do, err := simDigest(scheme, threads, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				dl, err := simDigest(scheme, threads, leg)
+				dr, err := simDigest(scheme, threads, ref)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if string(do) != string(dl) {
-					t.Errorf("%s/%s/%d: optimized and legacy host paths disagree\noptimized: %s\nlegacy:    %s",
-						structure, scheme, threads, do, dl)
+				if string(do) != string(dr) {
+					t.Errorf("%s/%s/%d: optimized and reference host paths disagree\noptimized: %s\nreference: %s",
+						structure, scheme, threads, do, dr)
 				}
-				if opt.FinalCount != leg.FinalCount || opt.LiveObjects != leg.LiveObjects {
+				if opt.FinalCount != ref.FinalCount || opt.LiveObjects != ref.LiveObjects {
 					t.Errorf("%s/%s/%d: drain state differs: count %d vs %d, live %d vs %d",
-						structure, scheme, threads, opt.FinalCount, leg.FinalCount,
-						opt.LiveObjects, leg.LiveObjects)
+						structure, scheme, threads, opt.FinalCount, ref.FinalCount,
+						opt.LiveObjects, ref.LiveObjects)
 				}
 			}
+		}
+	}
+}
+
+// hostFlag reads one of the unexported host-path flags (mem.Memory's
+// fastPlain, sched.Scheduler's fastPick) that the lower packages keep
+// private.
+func hostFlag(ptr any, field string) bool {
+	return reflect.ValueOf(ptr).Elem().FieldByName(field).Bool()
+}
+
+// TestHostPathSelection pins that the optimized paths are really on for
+// a harness-built instance — it starts on the plain-memory fast path and
+// its scheduler runs on the incremental ready set — and that
+// runReference's instance really takes the reference paths, so the
+// bit-identity sweep above compares two different routes.
+func TestHostPathSelection(t *testing.T) {
+	for _, ref := range []bool{false, true} {
+		s, err := NewSession(smokeCfg(StructList, SchemeStackTrack, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref {
+			s.in.m.SetObserver(nopObserver{})
+			s.in.sc.SetLegacyScan(true)
+		}
+		if got := hostFlag(s.in.m, "fastPlain"); got == ref {
+			t.Errorf("reference=%v: fresh instance on the plain fast path = %v", ref, got)
+		}
+		if _, err := s.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if got := hostFlag(s.in.sc, "fastPick"); got == ref {
+			t.Errorf("reference=%v: scheduler ran on the incremental ready set = %v", ref, got)
 		}
 	}
 }

@@ -115,22 +115,13 @@ func RunExperimentJSON(e *Experiment, o Options) (*ExperimentJSON, *Table, error
 	}
 	prev := o.Collect // chain, don't clobber, a caller-installed observer
 	o.Collect = func(series string, threads int, res *Result) {
-		derived := derivedRates(threads, res)
-		if len(res.HostDerived) > 0 { // synthetic host points (E17)
-			if derived == nil {
-				derived = map[string]float64{}
-			}
-			for k, v := range res.HostDerived {
-				derived[k] = v
-			}
-		}
 		out.Points = append(out.Points, PointJSON{
 			Series:          series,
 			Threads:         threads,
 			Ops:             res.Ops,
 			Throughput:      res.Throughput,
 			AvgSegmentLimit: res.AvgSegmentLimit,
-			Derived:         derived,
+			Derived:         derivedRates(threads, res),
 			Metrics:         res.Metrics,
 			Profile:         res.Profile,
 		})
@@ -186,6 +177,11 @@ func DecodeResults(b []byte) (*ResultsJSON, error) {
 	}
 	if doc.Schema != SchemaVersion {
 		return nil, fmt.Errorf("schema %d, want %d", doc.Schema, SchemaVersion)
+	}
+	for i, x := range doc.Experiments {
+		if x == nil {
+			return nil, fmt.Errorf("experiment %d is null", i)
+		}
 	}
 	return &doc, nil
 }

@@ -17,7 +17,7 @@ import (
 // TestPlainFastPathZeroAlloc pins the tentpole contract: a plain read or
 // write on the fast path performs zero Go allocations.
 func TestPlainFastPathZeroAlloc(t *testing.T) {
-	m := New(Config{Words: 1 << 14, NoReuse: true})
+	m := New(Config{Words: 1 << 14})
 	// Touch the region once so the high-watermark and counter lanes are
 	// established; steady state begins after that.
 	for a := word.Addr(0); a < 1<<12; a++ {
@@ -36,14 +36,14 @@ func TestPlainFastPathZeroAlloc(t *testing.T) {
 }
 
 // TestFastPathDisabledUnderObserver verifies the devirtualization seam:
-// installing an observer (or forcing legacy mode) routes accesses off the
-// fast path, and removing it routes them back.
+// installing an observer routes accesses off the fast path, and removing
+// it routes them back.
 func TestFastPathDisabledUnderObserver(t *testing.T) {
-	m := New(Config{Words: 1 << 12, NoReuse: true})
+	m := New(Config{Words: 1 << 12})
 	if !m.fastPlain {
 		t.Fatal("fresh memory should start on the fast path")
 	}
-	m.SetObserver(countingObserver{})
+	m.SetObserver(nopObserver{})
 	if m.fastPlain {
 		t.Fatal("fast path must be off while an observer is installed")
 	}
@@ -51,11 +51,6 @@ func TestFastPathDisabledUnderObserver(t *testing.T) {
 	if !m.fastPlain {
 		t.Fatal("fast path must come back when the observer is removed")
 	}
-	m.SetLegacyPlain(true)
-	if m.fastPlain {
-		t.Fatal("fast path must be off in legacy mode")
-	}
-	m.SetLegacyPlain(false)
 	tx := m.Begin(0)
 	if m.fastPlain {
 		t.Fatal("fast path must be off while a transaction is live")
@@ -68,16 +63,30 @@ func TestFastPathDisabledUnderObserver(t *testing.T) {
 	}
 }
 
-type countingObserver struct{ Observer }
+// nopObserver watches nothing; installing it puts every plain access on
+// the slow reference path.
+type nopObserver struct{}
+
+func (nopObserver) PlainRead(int, word.Addr)            {}
+func (nopObserver) PlainWrite(int, word.Addr)           {}
+func (nopObserver) SyncRMW(int, word.Addr, bool)        {}
+func (nopObserver) TxBegin(int)                         {}
+func (nopObserver) TxRead(int, word.Addr)               {}
+func (nopObserver) TxWrite(int, word.Addr)              {}
+func (nopObserver) TxCommit(int)                        {}
+func (nopObserver) SyncHint(int, word.Addr, bool, bool) {}
+
+// plainModes are the two plain-access routes the benchmarks compare.
+var plainModes = []struct {
+	name string
+	obs  Observer
+}{{"fast", nil}, {"observed", nopObserver{}}}
 
 func BenchmarkPlainRead(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"fast", false}, {"legacy", true}} {
+	for _, mode := range plainModes {
 		b.Run(mode.name, func(b *testing.B) {
-			m := New(Config{Words: 1 << 14, NoReuse: true})
-			m.SetLegacyPlain(mode.legacy)
+			m := New(Config{Words: 1 << 14})
+			m.SetObserver(mode.obs)
 			for a := word.Addr(0); a < 1<<12; a++ {
 				m.WritePlain(0, a, uint64(a))
 			}
@@ -91,13 +100,10 @@ func BenchmarkPlainRead(b *testing.B) {
 }
 
 func BenchmarkPlainWrite(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		legacy bool
-	}{{"fast", false}, {"legacy", true}} {
+	for _, mode := range plainModes {
 		b.Run(mode.name, func(b *testing.B) {
-			m := New(Config{Words: 1 << 14, NoReuse: true})
-			m.SetLegacyPlain(mode.legacy)
+			m := New(Config{Words: 1 << 14})
+			m.SetObserver(mode.obs)
 			for a := word.Addr(0); a < 1<<12; a++ {
 				m.WritePlain(0, a, uint64(a))
 			}
@@ -116,7 +122,7 @@ func BenchmarkPlainWrite(b *testing.B) {
 // write k words of one line, read them back (store-to-load forwarding),
 // then read a line the transaction does not own.
 func BenchmarkTxSegment(b *testing.B) {
-	m := New(Config{Words: 1 << 14, NoReuse: true})
+	m := New(Config{Words: 1 << 14})
 	for a := word.Addr(0); a < 1<<10; a++ {
 		m.WritePlain(0, a, uint64(a))
 	}

@@ -37,7 +37,7 @@ func TestWriteBufferDifferential(t *testing.T) {
 		if seed%2 == 1 {
 			weights = long
 		}
-		m := New(Config{Words: 1 << 12, NoReuse: true})
+		m := New(Config{Words: 1 << 12})
 		committed := map[word.Addr]uint64{}
 		spec := map[word.Addr]uint64{} // thread 0's buffered stores
 		var specAddrs []word.Addr      // spec's keys, for seeded picks
@@ -156,7 +156,7 @@ func TestWriteBufferDifferential(t *testing.T) {
 // insertion order included — and that the restored active transaction
 // still forwards and commits its buffered values.
 func TestWriteBufferSnapshotRoundTrip(t *testing.T) {
-	cfg := Config{Words: 1 << 12, NoReuse: true}
+	cfg := Config{Words: 1 << 12}
 	m := New(cfg)
 	for a := word.Addr(0); a < 512; a++ {
 		m.WritePlain(3, a, uint64(a)+1000)
@@ -235,7 +235,7 @@ func TestWriteBufferSnapshotRoundTrip(t *testing.T) {
 // the write buffer grows with the write set instead of being a fixed
 // table, so the first Begin of a thread stays small.
 func TestBeginFreshAllocBytes(t *testing.T) {
-	m := New(Config{Words: 1 << 12, NoReuse: true})
+	m := New(Config{Words: 1 << 12})
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m.Begin(0)
@@ -249,7 +249,7 @@ func TestBeginFreshAllocBytes(t *testing.T) {
 // descriptor has grown to its write set, a begin/write/read/commit
 // segment performs no Go allocation.
 func TestTxSegmentZeroAlloc(t *testing.T) {
-	m := New(Config{Words: 1 << 12, NoReuse: true})
+	m := New(Config{Words: 1 << 12})
 	segment := func() {
 		tx := m.Begin(0)
 		for a := word.Addr(64); a < 64+4*word.LineWords; a += 3 {

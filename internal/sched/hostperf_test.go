@@ -16,9 +16,13 @@ import (
 )
 
 func newPerfWorld(nThreads int, legacy bool) *Scheduler {
-	m := mem.New(mem.Config{Words: 1 << 18, NoReuse: true})
+	return newPerfWorldOn(topo.Haswell8Way(), nThreads, legacy)
+}
+
+func newPerfWorldOn(tp topo.Topology, nThreads int, legacy bool) *Scheduler {
+	m := mem.New(mem.Config{Words: 1 << 18, Topology: tp})
 	a := alloc.New(m)
-	sc := NewScheduler(m, topo.Haswell8Way(), 1)
+	sc := NewScheduler(m, tp, 1)
 	sc.SetLegacyScan(legacy)
 	for i := 0; i < nThreads; i++ {
 		th := NewThread(i, m, a, uint64(i)+100)
@@ -64,6 +68,38 @@ func TestReadyStructureMatchesLegacyScan(t *testing.T) {
 						threads, h, i, fast.threads[i].vtime, slow.threads[i].vtime)
 				}
 			}
+		}
+	}
+}
+
+// TestReadySetSelection pins which decision path Run takes: topologies
+// that fit the 64-bit dirty mask (the paper's 8-context machine, E10's
+// 16-context one) use the incremental ready set, wider ones fall back
+// to the per-decision rescan, and SetLegacyScan forces the rescan.
+func TestReadySetSelection(t *testing.T) {
+	wide := topo.Haswell8Way()
+	wide.Cores = 40 // 80 contexts
+	big := topo.Haswell8Way()
+	big.Cores = 16
+	for _, c := range []struct {
+		name   string
+		tp     topo.Topology
+		legacy bool
+		want   bool
+	}{
+		{"default", topo.Haswell8Way(), false, true},
+		{"16-context", big, false, true},
+		{"80-context", wide, false, false},
+		{"legacy-scan", topo.Haswell8Way(), true, false},
+	} {
+		sc := newPerfWorldOn(c.tp, 4, c.legacy)
+		sc.Run(10_000)
+		if sc.Decisions() == 0 {
+			t.Fatalf("%s: no decisions made", c.name)
+		}
+		if sc.fastPick != c.want {
+			t.Errorf("%s (%d contexts): incremental ready set in use = %v, want %v",
+				c.name, c.tp.Contexts(), sc.fastPick, c.want)
 		}
 	}
 }

@@ -83,7 +83,7 @@ type Scheduler struct {
 	// is bit-identical. occVT caches each ready context's occupant clock
 	// so DefaultPick scans a flat array instead of chasing pointers.
 	fastReady  bool // topology fits the 64-bit dirty mask
-	legacyScan bool // host knob: force the per-decision O(contexts) rescan
+	legacyScan bool // force the per-decision O(contexts) rescan
 	fastPick   bool // occVT is fresh (maintained while Run is in fast mode)
 	dirtyMask  uint64
 	ready      []bool
@@ -169,9 +169,9 @@ func (s *Scheduler) AddThread(t *Thread, st Stepper) {
 
 // SetLegacyScan forces the per-decision O(contexts) candidate rescan
 // instead of the incremental ready structure. Both produce bit-identical
-// schedules; the knob exists so the host-throughput selftest (bench E17)
-// and the bit-identity tests can measure and verify the optimized path
-// against the original one.
+// schedules; the rescan is the only path for topologies wider than 64
+// contexts, and the bit-identity tests use this knob to check the ready
+// structure against it.
 func (s *Scheduler) SetLegacyScan(on bool) { s.legacyScan = on }
 
 func (s *Scheduler) markDirty(id int) { s.dirtyMask |= 1 << uint(id) }
