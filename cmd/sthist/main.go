@@ -3,8 +3,9 @@
 //
 // The store (internal/store) is the archive stserved and stctl append
 // every completed result document to. sthist reads it directly — no
-// server needed — and answers the questions CI and a developer actually
-// ask of history:
+// server needed, and none may be running on the same directory, since
+// the store is single-writer — and answers the questions CI and a
+// developer actually ask of history:
 //
 //	sthist -store DIR                              # list archived runs
 //	sthist -store DIR -history -experiment E1a     # per-run point values

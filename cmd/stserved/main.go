@@ -4,7 +4,7 @@
 // submissions of the same (config, seed, schema version) are served the
 // exact bytes the first run produced, without simulating again.
 //
-//	stserved -addr :8321 -workers 4 -queue 32 -cache 256 -cache-dir /var/cache/st -cache-disk-max 104857600
+//	stserved -addr :8321 -workers 4 -queue 32 -cache 256 -store-dir /var/lib/st
 //
 // API (see internal/serve):
 //
@@ -17,7 +17,10 @@
 //
 // With -store-dir every completed result document is archived to a
 // crash-safe append-only store (internal/store), building the history
-// that sthist's trend gates query.
+// that sthist's trend gates query. The store is also the cache's
+// persistent tier: a result archived by an earlier process is served
+// as a cached hit after a restart. The store is single-writer, so stop
+// the server before running sthist on the same directory.
 //
 // A full queue answers 429 with Retry-After rather than blocking.
 // SIGINT/SIGTERM shut down gracefully: the listener closes, queued and
@@ -47,12 +50,9 @@ func main() {
 		workers  = flag.Int("workers", 2, "concurrent simulation workers")
 		queue    = flag.Int("queue", 16, "max queued jobs before 429")
 		cacheN   = flag.Int("cache", 256, "in-memory result cache entries (0 = off)")
-		cacheDir = flag.String("cache-dir", "", "on-disk result cache directory (empty = memory only)")
-		cacheMax = flag.Int64("cache-disk-max", 0, "on-disk cache byte budget; oldest results pruned beyond it (0 = unbounded)")
 		timeout  = flag.Duration("timeout", 0, "default per-job timeout (0 = none)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-		storeDir = flag.String("store-dir", "", "result-history archive directory (empty = no archive)")
-		retainN  = flag.Int("store-retain", 0, "archive compaction keeps the newest N records per experiment (0 = all)")
+		storeDir = flag.String("store-dir", "", "result-history archive directory, also the cache's persistent tier (empty = no archive)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -60,35 +60,29 @@ func main() {
 		os.Exit(cli.ExitUsage)
 	}
 
-	if *cacheMax > 0 && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "stserved: -cache-disk-max needs -cache-dir")
-		os.Exit(cli.ExitUsage)
+	var st *store.Store
+	if *storeDir != "" {
+		var err error
+		st, err = store.Open(*storeDir, store.Options{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "stserved: open result store: %v\n", err)
+			os.Exit(cli.ExitFailure)
+		}
+		defer st.Close()
+		s := st.Stats()
+		fmt.Fprintf(os.Stderr, "stserved: result store %s (%d records, %d segments, last seq %d)\n",
+			*storeDir, s.Records, s.Segments, s.LastSeq)
 	}
 	var cache *serve.Cache
-	if *cacheN > 0 || *cacheDir != "" {
-		cache = serve.NewCache(*cacheN, *cacheDir)
-		cache.SetDiskLimit(*cacheMax)
+	if *cacheN > 0 || st != nil {
+		cache = serve.NewCache(*cacheN, st)
 	}
 	srv := serve.NewServer(serve.PoolConfig{
 		Workers:        *workers,
 		QueueDepth:     *queue,
 		DefaultTimeout: *timeout,
 	}, cache)
-
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{
-			Retain: store.Retention{PerExperiment: *retainN},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "stserved: open result store: %v\n", err)
-			os.Exit(cli.ExitFailure)
-		}
-		defer st.Close()
-		srv.SetStore(st)
-		s := st.Stats()
-		fmt.Fprintf(os.Stderr, "stserved: result store %s (%d records, %d segments, last seq %d)\n",
-			*storeDir, s.Records, s.Segments, s.LastSeq)
-	}
+	srv.SetStore(st)
 
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

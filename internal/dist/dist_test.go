@@ -23,7 +23,7 @@ func tinySweep() *serve.SweepOptions {
 // on an httptest listener.
 func realWorker(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := serve.NewServer(serve.PoolConfig{Workers: 2, QueueDepth: 16}, serve.NewCache(64, ""))
+	srv := serve.NewServer(serve.PoolConfig{Workers: 2, QueueDepth: 16}, serve.NewCache(64, nil))
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()

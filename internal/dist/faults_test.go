@@ -185,7 +185,7 @@ func (k *killableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestWorkerKilledMidSweep(t *testing.T) {
 	survivorTS := realWorker(t)
 
-	victimSrv := serve.NewServer(serve.PoolConfig{Workers: 2, QueueDepth: 16}, serve.NewCache(64, ""))
+	victimSrv := serve.NewServer(serve.PoolConfig{Workers: 2, QueueDepth: 16}, serve.NewCache(64, nil))
 	victim := &killableWorker{inner: victimSrv.Handler(), killAfter: 1}
 	victimTS := httptest.NewServer(victim)
 	t.Cleanup(func() {

@@ -5,35 +5,26 @@ package serve
 // that triple (internal/bench's CanonicalKey family) fully addresses a
 // result document: repeated submissions are served the exact bytes the
 // first run produced. Two tiers: a bounded in-memory LRU for the hot
-// set, and an optional on-disk store (one file per key, atomic
-// write-then-rename) that survives restarts.
+// set, and optionally the result store (internal/store), whose records
+// are keyed by the same content address and survive restarts.
 
 import (
 	"container/list"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
+
+	"stacktrack/internal/store"
 )
 
-// Cache is a two-tier (memory LRU + optional disk) byte store keyed by
+// Cache is a memory LRU over an optional result store, keyed by
 // content address. Safe for concurrent use.
 type Cache struct {
-	mu           sync.Mutex
-	max          int // max in-memory entries; <= 0 disables the memory tier
-	lru          *list.List
-	entries      map[string]*list.Element
-	dir          string // disk tier root; "" disables it
-	maxDiskBytes int64  // disk tier byte budget; <= 0 means unbounded
-	diskBytes    int64  // last accounted size of the disk tier
+	mu      sync.Mutex
+	max     int // max in-memory entries; <= 0 disables the memory tier
+	lru     *list.List
+	entries map[string]*list.Element
+	store   *store.Store // persistent tier; nil means memory only
 
-	hits, misses, diskHits, evictions, diskErrors, diskPrunes uint64
-
-	// promote, when set, observes disk-tier promotions: results computed
-	// by an earlier process that the memory tier has never seen. The
-	// result archive hooks this to backfill results that predate it.
-	promote func(key string, val []byte)
+	hits, misses, diskHits, evictions, diskErrors uint64
 }
 
 type cacheEntry struct {
@@ -47,170 +38,60 @@ type CacheStats struct {
 	MaxSize   int    `json:"max_size"`
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
-	DiskHits  uint64 `json:"disk_hits"`
+	DiskHits  uint64 `json:"disk_hits"` // hits served from the result store
 	Evictions uint64 `json:"evictions"`
-	// DiskErrors counts best-effort disk-tier failures (the cache keeps
-	// serving from memory; a broken disk store never fails a job).
+	// DiskErrors counts failed store reads (I/O or CRC). Each is served
+	// as a miss: the job recomputes and its fresh record becomes the
+	// newest for the key.
 	DiskErrors uint64 `json:"disk_errors,omitempty"`
-	Disk       bool   `json:"disk"`
-	// Disk budget accounting: bytes currently on disk (as of the last
-	// write), the configured cap, and how many files the cap has pruned.
-	DiskBytes    int64  `json:"disk_bytes,omitempty"`
-	DiskMaxBytes int64  `json:"disk_max_bytes,omitempty"`
-	DiskPrunes   uint64 `json:"disk_prunes,omitempty"`
 }
 
 // NewCache builds a cache holding up to maxEntries results in memory,
-// mirrored to dir when dir is non-empty (created on first Put).
-func NewCache(maxEntries int, dir string) *Cache {
+// falling back to st's newest record for a key on a memory miss. st may
+// be nil (memory only).
+func NewCache(maxEntries int, st *store.Store) *Cache {
 	return &Cache{
 		max:     maxEntries,
 		lru:     list.New(),
 		entries: make(map[string]*list.Element),
-		dir:     dir,
+		store:   st,
 	}
-}
-
-// SetDiskLimit caps the disk tier at maxBytes. Once a write pushes the
-// tier over the cap, the oldest files (by modification time) are pruned
-// until it fits again; the entry just written is never the oldest, so a
-// fresh result always survives its own prune. maxBytes <= 0 removes the
-// cap.
-func (c *Cache) SetDiskLimit(maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxDiskBytes = maxBytes
-}
-
-// path maps a key to its disk file. Keys are hex digests, so they are
-// path-safe by construction; anything else is rejected defensively.
-func (c *Cache) path(key string) string {
-	if strings.ContainsAny(key, "/\\.") {
-		return ""
-	}
-	return filepath.Join(c.dir, key+".json")
-}
-
-// SetPromoteHook installs fn to be called (outside the cache lock) on
-// every disk-tier promotion. Call before the cache starts serving.
-func (c *Cache) SetPromoteHook(fn func(key string, val []byte)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.promote = fn
 }
 
 // Get returns the cached bytes for key. Memory first; on a miss the
-// disk tier is consulted and a hit promoted back into memory. The
-// returned slice must not be mutated (it is shared with the cache).
+// store is consulted and a hit promoted back into memory. The returned
+// slice must not be mutated (it is shared with the cache).
 func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
-		val := el.Value.(*cacheEntry).val
-		c.mu.Unlock()
-		return val, true
+		return el.Value.(*cacheEntry).val, true
 	}
-	if c.dir != "" {
-		if p := c.path(key); p != "" {
-			if b, err := os.ReadFile(p); err == nil {
-				c.hits++
-				c.diskHits++
-				c.putLocked(key, b)
-				hook := c.promote
-				c.mu.Unlock()
-				// The hook may do its own I/O (fsync into the archive), so
-				// it runs after the lock is released.
-				if hook != nil {
-					hook(key, b)
-				}
-				return b, true
-			}
+	if c.store != nil {
+		b, ok, err := c.store.Lookup(key)
+		if err != nil {
+			c.diskErrors++
+		}
+		if ok {
+			c.hits++
+			c.diskHits++
+			c.putLocked(key, b)
+			return b, true
 		}
 	}
 	c.misses++
-	c.mu.Unlock()
 	return nil, false
 }
 
-// Put stores val under key in both tiers. The memory tier evicts least-
-// recently-used entries beyond the size bound; the disk tier is
-// best-effort (an I/O failure is counted, not surfaced).
+// Put stores val under key in the memory tier, evicting least-recently-
+// used entries beyond the size bound. Persisting is the store's job:
+// the server archives every computed result.
 func (c *Cache) Put(key string, val []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(key, val)
-	if c.dir == "" {
-		return
-	}
-	p := c.path(key)
-	if p == "" {
-		return
-	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		c.diskErrors++
-		return
-	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, val, 0o644); err != nil {
-		c.diskErrors++
-		return
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		c.diskErrors++
-		return
-	}
-	c.pruneDiskLocked()
-}
-
-// pruneDiskLocked re-measures the disk tier and, when a byte cap is set
-// and exceeded, deletes the oldest files (by mtime) until the tier fits.
-// Runs under c.mu after every successful disk write.
-func (c *Cache) pruneDiskLocked() {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		c.diskErrors++
-		return
-	}
-	type diskFile struct {
-		path  string
-		size  int64
-		mtime int64
-	}
-	var files []diskFile
-	var total int64
-	for _, ent := range ents {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".json") {
-			continue
-		}
-		info, err := ent.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, diskFile{
-			path:  filepath.Join(c.dir, ent.Name()),
-			size:  info.Size(),
-			mtime: info.ModTime().UnixNano(),
-		})
-		total += info.Size()
-	}
-	c.diskBytes = total
-	if c.maxDiskBytes <= 0 || total <= c.maxDiskBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= c.maxDiskBytes {
-			break
-		}
-		if err := os.Remove(f.path); err != nil {
-			c.diskErrors++
-			continue
-		}
-		total -= f.size
-		c.diskPrunes++
-	}
-	c.diskBytes = total
 }
 
 func (c *Cache) putLocked(key string, val []byte) {
@@ -236,16 +117,12 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:      c.lru.Len(),
-		MaxSize:      c.max,
-		Hits:         c.hits,
-		Misses:       c.misses,
-		DiskHits:     c.diskHits,
-		Evictions:    c.evictions,
-		DiskErrors:   c.diskErrors,
-		Disk:         c.dir != "",
-		DiskBytes:    c.diskBytes,
-		DiskMaxBytes: c.maxDiskBytes,
-		DiskPrunes:   c.diskPrunes,
+		Entries:    c.lru.Len(),
+		MaxSize:    c.max,
+		Hits:       c.hits,
+		Misses:     c.misses,
+		DiskHits:   c.diskHits,
+		Evictions:  c.evictions,
+		DiskErrors: c.diskErrors,
 	}
 }

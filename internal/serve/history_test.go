@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -15,21 +17,25 @@ import (
 
 const quickBody = `{"experiment": "E1a", "options": {"threads": [2], "measure_ms": 0.5, "warmup_ms": 0.2}}`
 
-func newArchivingServer(t *testing.T, cache *Cache) (*Server, *store.Store, *httptest.Server) {
+// newArchivingServer starts a server whose cache sits over a store in
+// dir, as stserved -store-dir wires it. stop shuts it down and releases
+// the store; it also runs at cleanup, and is safe to call twice.
+func newArchivingServer(t *testing.T, dir string) (srv *Server, st *store.Store, ts *httptest.Server, stop func()) {
 	t.Helper()
-	st, err := store.Open(t.TempDir(), store.Options{})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, cache)
+	srv = NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, st))
 	srv.SetStore(st)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
+	ts = httptest.NewServer(srv.Handler())
+	stop = func() {
 		ts.Close()
 		srv.Shutdown(context.Background())
 		st.Close()
-	})
-	return srv, st, ts
+	}
+	t.Cleanup(stop)
+	return srv, st, ts, stop
 }
 
 // TestArchiveOnCompletion: a completed job's document lands in the
@@ -37,7 +43,7 @@ func newArchivingServer(t *testing.T, cache *Cache) (*Server, *store.Store, *htt
 // key and derived metadata; a cache hit on resubmission does not
 // archive a duplicate.
 func TestArchiveOnCompletion(t *testing.T) {
-	_, st, ts := newArchivingServer(t, NewCache(8, ""))
+	_, st, ts, _ := newArchivingServer(t, t.TempDir())
 
 	code, view := postJob(t, ts, quickBody)
 	if code != http.StatusAccepted {
@@ -108,53 +114,82 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobView {
 	}
 }
 
-// TestDiskPromotionArchives: a result computed by an earlier process
-// (present only in the cache's disk tier) is archived the first time it
-// is served again — and only once.
-func TestDiskPromotionArchives(t *testing.T) {
-	cacheDir := t.TempDir()
+// TestStoreTierSurvivesRestart: the result store is the cache's
+// persistent tier. A result archived by one server is served by a
+// fresh server on the same directory as a cached hit, byte-identical
+// and without simulating or archiving again; a record that fails its
+// CRC when read is a miss that recomputes and archives a fresh record.
+func TestStoreTierSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
 
-	// Process one: compute with a disk-tier cache, no store.
-	srv1 := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, cacheDir))
-	ts1 := httptest.NewServer(srv1.Handler())
+	// Server one computes and archives.
+	_, st1, ts1, stop1 := newArchivingServer(t, dir)
 	_, view := postJob(t, ts1, quickBody)
 	waitDone(t, ts1, view.ID)
-	_, served := getResult(t, ts1, view.ID)
-	ts1.Close()
-	srv1.Shutdown(context.Background())
+	_, cold := getResult(t, ts1, view.ID)
+	if got := st1.Stats().Records; got != 1 {
+		t.Fatalf("server one archived %d records, want 1", got)
+	}
+	stop1()
 
-	// Process two: same disk tier, now with a store attached.
-	_, st, ts2 := newArchivingServer(t, NewCache(8, cacheDir))
+	// Server two serves it from the store.
+	srv2, st2, ts2, stop2 := newArchivingServer(t, dir)
 	code, view2 := postJob(t, ts2, quickBody)
-	if code != http.StatusAccepted && code != http.StatusOK {
-		t.Fatalf("resubmit = %d", code)
+	if code != http.StatusOK || !view2.Cached {
+		t.Fatalf("after restart: code %d, cached %v; want 200 cached", code, view2.Cached)
 	}
-	waitDone(t, ts2, view2.ID)
-	stats := st.Stats()
-	if stats.Records != 1 {
-		t.Fatalf("promotion archived %d records, want 1", stats.Records)
+	_, warm := getResult(t, ts2, view2.ID)
+	if !bytes.Equal(warm, cold) {
+		t.Fatal("store-tier hit differs from the cold run's bytes")
 	}
-	m := st.Records(store.Query{})[0]
-	_, payload, err := st.Get(m.Seq)
+	if got := srv2.Pool().Stats().Completed; got != 0 {
+		t.Fatalf("store-tier hit ran %d simulations", got)
+	}
+	if got := st2.Stats().Records; got != 1 {
+		t.Fatalf("store-tier hit archived again: %d records", got)
+	}
+	if cs := srv2.cache.Stats(); cs.DiskHits != 1 || cs.DiskErrors != 0 {
+		t.Fatalf("cache stats = %+v, want 1 store hit", cs)
+	}
+	stop2()
+
+	// Server three opens the store (the scan finds the record intact),
+	// then a byte of the record's payload rots on disk.
+	srv3, st3, ts3, _ := newArchivingServer(t, dir)
+	seg := filepath.Join(dir, "seg-00000001.log")
+	b, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(payload, served) {
-		t.Fatal("promoted archive differs from the originally served bytes")
+	b[len(b)-2] ^= 0xff // inside the payload, which ends the only frame
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	// Serve it once more from memory: still one record.
-	_, view3 := postJob(t, ts2, quickBody)
-	waitDone(t, ts2, view3.ID)
-	if got := st.Stats().Records; got != 1 {
-		t.Fatalf("second hit duplicated the archive: %d records", got)
+	code, view3 := postJob(t, ts3, quickBody)
+	if code != http.StatusAccepted || view3.Cached {
+		t.Fatalf("corrupt record: code %d, cached %v; want 202 recompute", code, view3.Cached)
+	}
+	waitDone(t, ts3, view3.ID)
+	_, fresh := getResult(t, ts3, view3.ID)
+	if !bytes.Equal(fresh, cold) {
+		t.Fatal("recompute differs from the cold run's bytes")
+	}
+	if cs := srv3.cache.Stats(); cs.DiskErrors != 1 || cs.DiskHits != 0 {
+		t.Fatalf("cache stats = %+v, want 1 disk error and no store hit", cs)
+	}
+	got, ok, err := st3.Lookup(view3.Key)
+	if !ok || err != nil || !bytes.Equal(got, fresh) {
+		t.Fatalf("Lookup after recompute: ok=%v err=%v; want the fresh record", ok, err)
+	}
+	if n := st3.Stats().Records; n != 2 {
+		t.Fatalf("records = %d, want 2", n)
 	}
 }
 
 // TestHealthzReportsSchemaAndStore: the health document carries the
 // result schema version always, and store stats when one is attached.
 func TestHealthzReportsSchemaAndStore(t *testing.T) {
-	_, st, ts := newArchivingServer(t, NewCache(8, ""))
+	_, st, ts, _ := newArchivingServer(t, t.TempDir())
 	_ = st
 
 	var doc HealthJSON
@@ -194,7 +229,7 @@ func TestHealthzReportsSchemaAndStore(t *testing.T) {
 // TestHistoryAndTrendsEndpoints: archived runs are queryable over HTTP
 // with the documented filters; servers without a store answer 404.
 func TestHistoryAndTrendsEndpoints(t *testing.T) {
-	_, _, ts := newArchivingServer(t, NewCache(8, ""))
+	_, _, ts, _ := newArchivingServer(t, t.TempDir())
 
 	// Two archived runs of the same config: the second submission hits
 	// the cache, so force recomputation with distinct seeds.
@@ -282,9 +317,9 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) {
 
 // TestExploreJobsAreNotArchived: explore campaign results are not
 // ResultsJSON documents; the archive skips them rather than refusing
-// the job.
+// the job, so a deterministic campaign is cached in memory only.
 func TestExploreJobsAreNotArchived(t *testing.T) {
-	_, st, ts := newArchivingServer(t, NewCache(8, ""))
+	srv, st, ts, _ := newArchivingServer(t, t.TempDir())
 	body := `{"explore": {"config": {"structure": "list", "scheme": "epoch", "measure_cycles": 200000}, "max_runs": 2}}`
 	code, view := postJob(t, ts, body)
 	if code != http.StatusAccepted {
@@ -293,5 +328,15 @@ func TestExploreJobsAreNotArchived(t *testing.T) {
 	waitDone(t, ts, view.ID)
 	if got := st.Stats().Records; got != 0 {
 		t.Fatalf("explore result archived: %d records", got)
+	}
+	code, view2 := postJob(t, ts, body)
+	if code != http.StatusOK || !view2.Cached {
+		t.Fatalf("resubmit: code %d, cached %v; want a memory hit", code, view2.Cached)
+	}
+	if cs := srv.cache.Stats(); cs.Hits != 1 || cs.DiskHits != 0 {
+		t.Fatalf("cache stats = %+v, want 1 memory hit", cs)
+	}
+	if got := st.Stats().Records; got != 0 {
+		t.Fatalf("explore hit archived: %d records", got)
 	}
 }

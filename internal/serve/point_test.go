@@ -18,7 +18,7 @@ const pointOptions = `"options": {"threads": [1, 2], "measure_ms": 0.5, "warmup_
 // thread counts, records the full sweep's options block, and is served
 // from cache on resubmission.
 func TestPointJobRunsShard(t *testing.T) {
-	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, ""))
+	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, nil))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
@@ -66,7 +66,7 @@ func TestPointJobRunsShard(t *testing.T) {
 // results reproduces the whole-sweep job's points byte for byte — the
 // serve-layer half of the distributed merge invariant.
 func TestPointJobSplicesIntoFullSweep(t *testing.T) {
-	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, ""))
+	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, nil))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())

@@ -9,8 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,7 +73,7 @@ func waitStatus(t *testing.T, p *Pool, id, want string) {
 // --- cache ---
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2, "")
+	c := NewCache(2, nil)
 	c.Put("a", []byte("1"))
 	c.Put("b", []byte("2"))
 	if _, ok := c.Get("a"); !ok { // touch a: b becomes LRU
@@ -94,68 +92,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheDiskTier(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(4, dir)
-	c.Put("deadbeef", []byte("payload"))
-	if _, err := os.Stat(filepath.Join(dir, "deadbeef.json")); err != nil {
-		t.Fatalf("disk file: %v", err)
-	}
-	// A fresh cache (fresh process) finds it on disk and promotes it.
-	c2 := NewCache(4, dir)
-	v, ok := c2.Get("deadbeef")
-	if !ok || string(v) != "payload" {
-		t.Fatalf("disk get = %q, %v", v, ok)
-	}
-	if st := c2.Stats(); st.DiskHits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Path traversal attempts never touch the filesystem.
-	c2.Put("../escape", []byte("x"))
-	if _, err := os.Stat(filepath.Join(dir, "..", "escape.json")); err == nil {
-		t.Fatal("path traversal escaped the cache dir")
-	}
-}
-
-// TestCacheDiskByteBudget: with a byte cap set, writes beyond the cap
-// prune the oldest files first and the prunes show up in the stats.
-func TestCacheDiskByteBudget(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(8, dir)
-	c.SetDiskLimit(30) // three 10-byte results fit, the fourth prunes
-
-	payload := []byte("0123456789")
-	keys := []string{"aaaa", "bbbb", "cccc"}
-	for i, k := range keys {
-		c.Put(k, payload)
-		// Deterministic age order regardless of filesystem timestamp
-		// granularity: aaaa oldest, cccc newest.
-		old := time.Now().Add(time.Duration(i-10) * time.Hour)
-		if err := os.Chtimes(filepath.Join(dir, k+".json"), old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Put("dddd", payload) // 40 bytes on disk: prune until <= 30
-
-	if _, err := os.Stat(filepath.Join(dir, "aaaa.json")); !os.IsNotExist(err) {
-		t.Fatalf("oldest file survived the prune: %v", err)
-	}
-	for _, k := range []string{"bbbb", "cccc", "dddd"} {
-		if _, err := os.Stat(filepath.Join(dir, k+".json")); err != nil {
-			t.Fatalf("%s.json should have survived: %v", k, err)
-		}
-	}
-	st := c.Stats()
-	if st.DiskPrunes != 1 || st.DiskBytes != 30 || st.DiskMaxBytes != 30 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// The pruned entry is still served from memory; a re-Put restores it
-	// to disk (pruning something else).
-	if v, ok := c.Get("aaaa"); !ok || string(v) != "0123456789" {
-		t.Fatalf("memory tier lost the pruned entry: %q, %v", v, ok)
-	}
-}
-
 // --- dedup and caching over HTTP ---
 
 // TestConcurrentDedup: N identical POSTs while the job runs collapse to
@@ -163,7 +99,7 @@ func TestCacheDiskByteBudget(t *testing.T) {
 func TestConcurrentDedup(t *testing.T) {
 	var execs atomic.Int32
 	release := make(chan struct{})
-	srv := newTestServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, ""),
+	srv := newTestServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, nil),
 		func(ctx context.Context, job *Job) ([]byte, error) {
 			execs.Add(1)
 			<-release
@@ -221,7 +157,7 @@ func TestConcurrentDedup(t *testing.T) {
 // twice — once cold, once via no_cache recompute — and asserts the
 // cached response is byte-identical to an actual fresh computation.
 func TestCacheByteIdenticalToColdRecompute(t *testing.T) {
-	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, ""))
+	srv := NewServer(PoolConfig{Workers: 2, QueueDepth: 8}, NewCache(8, nil))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
@@ -608,7 +544,7 @@ func TestValidateRejectsBadRequests(t *testing.T) {
 }
 
 func TestExperimentsAndStatsEndpoints(t *testing.T) {
-	srv := newTestServer(PoolConfig{}, NewCache(4, ""), func(ctx context.Context, job *Job) ([]byte, error) {
+	srv := newTestServer(PoolConfig{}, NewCache(4, nil), func(ctx context.Context, job *Job) ([]byte, error) {
 		return []byte("{}\n"), nil
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -662,7 +598,7 @@ func TestExploreKeyOnlyWhenDeterministic(t *testing.T) {
 // TestExploreJobRuns drives a real (tiny) fuzz campaign through the
 // service and checks the cached rerun is byte-identical.
 func TestExploreJobRuns(t *testing.T) {
-	srv := NewServer(PoolConfig{Workers: 1, QueueDepth: 4}, NewCache(4, ""))
+	srv := NewServer(PoolConfig{Workers: 1, QueueDepth: 4}, NewCache(4, nil))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -56,22 +57,10 @@ func NewServer(cfg PoolConfig, cache *Cache) *Server {
 
 // SetStore attaches the result archive: every completed simulation is
 // appended, and history/trend queries are served from it. Must be
-// called before the server starts handling requests (it also hooks the
-// cache's disk-tier promotions, so results computed before the store
-// existed get archived the first time they are served again).
-func (s *Server) SetStore(st *store.Store) {
-	s.store = st
-	if s.cache != nil {
-		s.cache.SetPromoteHook(func(key string, val []byte) {
-			if key != "" && !st.Has(key) {
-				s.archive(key, val, 0)
-			}
-		})
-	}
-}
-
-// Store exposes the attached archive (nil when none).
-func (s *Server) Store() *store.Store { return s.store }
+// called before the server starts handling requests. For archived
+// results to be served again, build the cache over the same store
+// (NewCache(n, st)).
+func (s *Server) SetStore(st *store.Store) { s.store = st }
 
 // runJob is the pool's Runner: execute, then archive the completed
 // document. Archival is strictly after the fact — it can neither change
@@ -332,11 +321,19 @@ func marshalResult(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// decodeJobRequest reads one /v1/jobs body strictly: unknown fields
+// are errors.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

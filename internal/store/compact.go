@@ -26,6 +26,7 @@ package store
 // those from an unremoved original.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"sort"
@@ -242,7 +243,7 @@ func writeCompacted(path string, cover uint64, plan []*record) (map[*record]int6
 	defer f.Close()
 	hdr := make([]byte, segHeaderLen)
 	copy(hdr, segMagic)
-	putUint64(hdr[8:], cover)
+	binary.LittleEndian.PutUint64(hdr[8:], cover)
 	if _, err := f.Write(hdr); err != nil {
 		return nil, 0, err
 	}
@@ -263,12 +264,6 @@ func writeCompacted(path string, cover uint64, plan []*record) (map[*record]int6
 		return nil, 0, err
 	}
 	return newOff, off, nil
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives power

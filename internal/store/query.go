@@ -9,6 +9,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,36 +39,17 @@ type HistoryEntry struct {
 	Points []HistoryPoint `json:"points,omitempty"`
 }
 
-// matchMeta applies the cheap (metadata-only) parts of q.
+// matchMeta applies the cheap (metadata-only) parts of q. A record's
+// Experiment field may be a comma-joined list; empty axes match all.
 func matchMeta(m *RecordMeta, q Query) bool {
-	if !metaCovers(m, q.Experiment) {
+	if q.Experiment != "" && m.Experiment != q.Experiment &&
+		!slices.Contains(strings.Split(m.Experiment, ","), q.Experiment) {
 		return false
 	}
-	if q.Scheme != "" && len(m.Schemes) > 0 {
-		found := false
-		for _, sc := range m.Schemes {
-			if sc == q.Scheme {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
+	if q.Scheme != "" && len(m.Schemes) > 0 && !slices.Contains(m.Schemes, q.Scheme) {
+		return false
 	}
-	if q.Threads > 0 && len(m.Threads) > 0 {
-		found := false
-		for _, t := range m.Threads {
-			if t == q.Threads {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return q.Threads <= 0 || len(m.Threads) == 0 || slices.Contains(m.Threads, q.Threads)
 }
 
 // Records returns the metadata of matching records, ascending seq.
@@ -281,23 +263,4 @@ func DescribePayload(payload []byte) (RecordMeta, error) {
 	}
 	sort.Ints(meta.Threads)
 	return meta, nil
-}
-
-// Baseline returns the most recent archived document's entry for e —
-// the store-backed counterpart of bench.LoadBaseline, letting gates
-// compare against live history instead of a committed snapshot.
-func Baseline(s *Store, e *bench.Experiment) (*bench.ExperimentJSON, error) {
-	meta, payload, err := s.Latest(e.ID)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := bench.DecodeResults(payload)
-	if err != nil {
-		return nil, fmt.Errorf("store: record %d: %w", meta.Seq, err)
-	}
-	x := bench.FindResultsExperiment(doc, e)
-	if x == nil {
-		return nil, fmt.Errorf("store: record %d has no results for experiment %s (%s)", meta.Seq, e.Name, e.ID)
-	}
-	return x, nil
 }

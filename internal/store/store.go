@@ -19,10 +19,11 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -118,6 +119,7 @@ type Store struct {
 	liveBytes int64
 
 	compactMu sync.Mutex // at most one compaction at a time
+	lock      *os.File   // holds the directory lock; nil once closed
 
 	appends, appendErrors, compactions uint64
 	tornBytes                          int64
@@ -127,15 +129,27 @@ type Store struct {
 // Open opens (or creates) the store in dir, rebuilding the index by
 // scanning every segment. A torn tail on the active segment — the
 // signature of a crash mid-append — is truncated; a bad frame anywhere
-// else is ErrCorrupt.
-func Open(dir string, opts Options) (*Store, error) {
+// else is ErrCorrupt. The store is single-writer: Open takes an
+// exclusive lock on the directory, held until Close, so a second Open
+// of the same directory (in this process or another) fails instead of
+// compacting under a live writer.
+func Open(dir string, opts Options) (_ *Store, err error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), byKey: map[string][]*record{}}
+	lock, err := lockDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	s := &Store{dir: dir, opts: opts.withDefaults(), byKey: map[string][]*record{}, lock: lock}
+	defer func() {
+		if err != nil {
+			s.closeLocked() // closes the segments opened so far, releases the lock
+		}
+	}()
 	ids, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -143,32 +157,27 @@ func Open(dir string, opts Options) (*Store, error) {
 	for i, id := range ids {
 		seg, err := openSegment(segmentPath(dir, id), id)
 		if err != nil {
-			s.closeLocked()
 			return nil, err
 		}
 		res, err := scanSegment(seg)
 		if err != nil {
 			seg.f.Close()
-			s.closeLocked()
 			return nil, err
 		}
 		last := i == len(ids)-1
 		if res.torn > 0 {
 			if !last {
 				seg.f.Close()
-				s.closeLocked()
 				return nil, fmt.Errorf("%w: %s: bad frame %d bytes before EOF in a sealed segment",
 					ErrCorrupt, seg.path, res.torn)
 			}
 			// Crash mid-append: the tail was never acknowledged. Drop it.
 			if err := seg.f.Truncate(res.tornOff); err != nil {
 				seg.f.Close()
-				s.closeLocked()
 				return nil, fmt.Errorf("store: truncate torn tail of %s: %w", seg.path, err)
 			}
 			if err := seg.f.Sync(); err != nil {
 				seg.f.Close()
-				s.closeLocked()
 				return nil, err
 			}
 			seg.size = res.tornOff
@@ -232,6 +241,12 @@ func (s *Store) Append(meta RecordMeta, payload []byte) (RecordMeta, error) {
 	if s.segs == nil {
 		return RecordMeta{}, fmt.Errorf("store: closed")
 	}
+	if s.lastSeq == math.MaxUint64 {
+		// Only a damaged coverUpTo header gets here; wrapping to 0 would
+		// make the record stale (and dropped) on the next open.
+		s.appendErrors++
+		return RecordMeta{}, fmt.Errorf("store: sequence numbers exhausted")
+	}
 	meta.Seq = s.lastSeq + 1
 	if meta.UnixMs == 0 {
 		meta.UnixMs = time.Now().UnixMilli()
@@ -258,7 +273,7 @@ func (s *Store) Append(meta RecordMeta, payload []byte) (RecordMeta, error) {
 	}
 	active.size = off + int64(len(frame))
 	r := &record{meta: meta, seg: active, off: off, bodyLen: uint32(len(frame) - recHeaderLen),
-		crc: frameCRC(frame)}
+		crc: binary.LittleEndian.Uint32(frame[4:])}
 	s.indexLocked(r)
 	active.records++
 	s.appends++
@@ -273,16 +288,19 @@ func (s *Store) Append(meta RecordMeta, payload []byte) (RecordMeta, error) {
 	return meta, nil
 }
 
-// frameCRC reads the crc field back out of an encoded frame.
-func frameCRC(frame []byte) uint32 {
-	return uint32(frame[4]) | uint32(frame[5])<<8 | uint32(frame[6])<<16 | uint32(frame[7])<<24
-}
-
-// Has reports whether any record with this content address is archived.
-func (s *Store) Has(key string) bool {
+// Lookup returns the CRC-verified payload of the newest live record
+// archived under the content address key. ok is false when no record
+// carries the key; err reports one that does but cannot be read (I/O
+// failure or CRC mismatch).
+func (s *Store) Lookup(key string) (payload []byte, ok bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.byKey[key]) > 0
+	rs := s.byKey[key]
+	if len(rs) == 0 {
+		return nil, false, nil
+	}
+	b, err := rs[len(rs)-1].payload()
+	return b, err == nil, err
 }
 
 // Get returns the record with the given sequence number and its
@@ -296,37 +314,6 @@ func (s *Store) Get(seq uint64) (RecordMeta, []byte, error) {
 	}
 	b, err := s.recs[i].payload()
 	return s.recs[i].meta, b, err
-}
-
-// Latest returns the most recent record whose Experiment field covers
-// experiment (exact match, or one of a comma-joined list), with its
-// payload.
-func (s *Store) Latest(experiment string) (RecordMeta, []byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i := len(s.recs) - 1; i >= 0; i-- {
-		if metaCovers(&s.recs[i].meta, experiment) {
-			b, err := s.recs[i].payload()
-			return s.recs[i].meta, b, err
-		}
-	}
-	return RecordMeta{}, nil, fmt.Errorf("store: no archived run for experiment %q", experiment)
-}
-
-// metaCovers reports whether m's Experiment field names experiment.
-func metaCovers(m *RecordMeta, experiment string) bool {
-	if experiment == "" {
-		return true
-	}
-	if m.Experiment == experiment {
-		return true
-	}
-	for _, part := range strings.Split(m.Experiment, ",") {
-		if part == experiment {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats snapshots the store counters.
@@ -346,8 +333,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close releases the store's file handles. Concurrent readers finish
-// first (they hold the read lock).
+// Close releases the store's file handles and its directory lock.
+// Concurrent readers finish first (they hold the read lock).
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,5 +351,9 @@ func (s *Store) closeLocked() error {
 	s.segs = nil
 	s.recs = nil
 	s.byKey = nil
+	if s.lock != nil {
+		s.lock.Close() // releases the directory lock
+		s.lock = nil
+	}
 	return first
 }

@@ -13,14 +13,14 @@ import (
 
 // testDoc builds a minimal valid result document for experiment id with
 // one StackTrack point at the given throughput.
-func testDoc(t *testing.T, id string, threads int, tput float64) []byte {
+func testDoc(t testing.TB, id string, threads int, tput float64) []byte {
 	t.Helper()
 	return testDocSeries(t, id, []string{"StackTrack"}, []int{threads}, tput)
 }
 
 // testDocSeries builds a document with one point per (series, threads)
 // pair, all at the given throughput.
-func testDocSeries(t *testing.T, id string, series []string, threads []int, tput float64) []byte {
+func testDocSeries(t testing.TB, id string, series []string, threads []int, tput float64) []byte {
 	t.Helper()
 	x := &bench.ExperimentJSON{
 		Schema: bench.SchemaVersion,
@@ -46,7 +46,7 @@ func testDocSeries(t *testing.T, id string, series []string, threads []int, tput
 }
 
 // appendDoc archives payload under a synthetic content key.
-func appendDoc(t *testing.T, s *Store, id string, payload []byte) RecordMeta {
+func appendDoc(t testing.TB, s *Store, id string, payload []byte) RecordMeta {
 	t.Helper()
 	meta, err := DescribePayload(payload)
 	if err != nil {
@@ -94,29 +94,26 @@ func TestAppendGetRoundtrip(t *testing.T) {
 			t.Fatalf("Get(%d): meta = %+v", m.Seq, got)
 		}
 	}
-	if !s.Has(metas[0].Key) {
-		t.Fatal("Has: appended key missing")
+	if got, ok, err := s.Lookup(metas[0].Key); !ok || err != nil || !bytes.Equal(got, payloads[0]) {
+		t.Fatalf("Lookup: appended key: ok=%v err=%v", ok, err)
 	}
-	if s.Has("no-such-key") {
-		t.Fatal("Has: phantom key")
+	if _, ok, err := s.Lookup("no-such-key"); ok || err != nil {
+		t.Fatalf("Lookup: phantom key: ok=%v err=%v", ok, err)
 	}
 	if _, _, err := s.Get(99); err == nil {
 		t.Fatal("Get(99) should fail")
 	}
-
-	m, payload, err := s.Latest("E1a")
-	if err != nil {
-		t.Fatalf("Latest: %v", err)
+	// A key archived twice resolves to its newest record.
+	newer := testDoc(t, "E1a", 4, 999)
+	if _, err := s.Append(RecordMeta{Key: metas[0].Key}, newer); err != nil {
+		t.Fatal(err)
 	}
-	if m.Seq != 5 || !bytes.Equal(payload, payloads[4]) {
-		t.Fatalf("Latest: seq = %d", m.Seq)
-	}
-	if _, _, err := s.Latest("E99"); err == nil {
-		t.Fatal("Latest(E99) should fail")
+	if got, ok, err := s.Lookup(metas[0].Key); !ok || err != nil || !bytes.Equal(got, newer) {
+		t.Fatalf("Lookup after re-archive: ok=%v err=%v, newest payload not returned", ok, err)
 	}
 
 	st := s.Stats()
-	if st.Records != 5 || st.LastSeq != 5 || st.Appends != 5 || st.AppendErrors != 0 {
+	if st.Records != 6 || st.LastSeq != 6 || st.Appends != 6 || st.AppendErrors != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -270,43 +267,6 @@ func TestDescribePayload(t *testing.T) {
 	}
 	if _, err := DescribePayload([]byte(`{"schema":1,"experiments":[]}`)); err == nil {
 		t.Fatal("empty document should not describe")
-	}
-}
-
-// TestStoreBackedBaseline: Baseline returns the latest archived entry
-// for an experiment, matching what bench.LoadBaseline would load from a
-// snapshot file.
-func TestStoreBackedBaseline(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	e := &bench.Experiments[0]
-	doc := testDoc(t, e.ID, 4, 123)
-	appendDoc(t, s, "base", doc)
-
-	x, err := Baseline(s, e)
-	if err != nil {
-		t.Fatalf("Baseline: %v", err)
-	}
-	if x.ID != e.ID || len(x.Points) != 1 || x.Points[0].Throughput != 123 {
-		t.Fatalf("baseline = %+v", x)
-	}
-
-	var other *bench.Experiment
-	for i := range bench.Experiments {
-		if bench.Experiments[i].ID != e.ID {
-			other = &bench.Experiments[i]
-			break
-		}
-	}
-	if other != nil {
-		if _, err := Baseline(s, other); err == nil {
-			t.Fatal("Baseline for unarchived experiment should fail")
-		}
 	}
 }
 

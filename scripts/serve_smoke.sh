@@ -20,7 +20,7 @@ TMP=$(mktemp -d)
 go build -o "$STSERVED" ./cmd/stserved
 
 "$STSERVED" -addr "$ADDR" -workers 1 -queue 1 -cache 64 \
-  -cache-dir "$TMP/cache" -drain 30s 2>"$TMP/served.log" &
+  -store-dir "$TMP/store" -drain 30s 2>"$TMP/served.log" &
 PID=$!
 cleanup() {
   kill "$PID" 2>/dev/null || true

@@ -4,12 +4,16 @@
 # gate must pass an unmodified run yet flag an injected regression.
 #
 # Phase 1 — archive on compute: stserved runs with -store-dir and the
-# cache off, so each of 3 identical submissions simulates and archives.
+# memory cache off; 3 identical no_cache submissions each simulate and
+# archive.
 #
 # Phase 2 — durability across restart: stserved is stopped and started
 # again on the same store directory; it must reopen all 3 records, and
-# 2 more submissions must continue the history (5 records, visible over
-# GET /v1/history).
+# 2 more no_cache submissions must continue the history (5 records,
+# visible over GET /v1/history). The store is also the cache's
+# persistent tier: one reusable submission must then be answered 200,
+# "cached": true, with bytes identical to phase 1's first result, and
+# archive nothing (still 5 records).
 #
 # Phase 3 — trend gate: with 5 archived runs, `sthist -gate` passes the
 # server's own (unmodified) result document, then fails — naming the
@@ -62,8 +66,10 @@ stop_served() {
   [ "$rc" = 0 ] || { echo "FAIL: stserved exited $rc" >&2; exit 1; }
 }
 
-# submit_and_wait OUT — run the quick E1a point and save its result bytes.
-BODY='{"experiment": "E1a", "options": {"threads": [2], "measure_ms": 0.5, "warmup_ms": 0.2}}'
+# submit_and_wait OUT — run the quick E1a point, recomputing even when
+# the store holds it, and save its result bytes.
+BODY='{"experiment": "E1a", "options": {"threads": [2], "measure_ms": 0.5, "warmup_ms": 0.2}, "no_cache": true}'
+REUSE='{"experiment": "E1a", "options": {"threads": [2], "measure_ms": 0.5, "warmup_ms": 0.2}}'
 submit_and_wait() {
   code=$(req "$TMP/post.json" -X POST -d "$BODY" "$BASE/v1/jobs")
   case $code in 200|202) ;; *) echo "FAIL: submit returned $code" >&2; exit 1;; esac
@@ -108,8 +114,26 @@ runs=$(grep -c '"seq"' "$TMP/history.json" || true)
   echo "FAIL: /v1/history shows $runs runs, want 5" >&2
   cat "$TMP/history.json" >&2; exit 1
 }
-stop_served
 echo "OK: 5 runs of history across a restart"
+
+code=$(req "$TMP/reuse.post" -X POST -d "$REUSE" "$BASE/v1/jobs")
+[ "$code" = 200 ] || { echo "FAIL: reusable submit returned $code, want 200 (store hit)" >&2; exit 1; }
+grep -q '"cached": true' "$TMP/reuse.post" || {
+  echo "FAIL: reusable submit not served from the store" >&2
+  cat "$TMP/reuse.post" >&2; exit 1
+}
+RID=$(json_field "$TMP/reuse.post" id)
+req "$TMP/reuse.json" "$BASE/v1/jobs/$RID/result" >/dev/null
+cmp -s "$TMP/head.json" "$TMP/reuse.json" || {
+  echo "FAIL: store-served result is not byte-identical to the first run" >&2; exit 1
+}
+req "$TMP/health.json" "$BASE/v1/healthz" >/dev/null
+grep -q '"records": 5' "$TMP/health.json" || {
+  echo "FAIL: store hit changed the record count" >&2
+  cat "$TMP/health.json" >&2; exit 1
+}
+stop_served
+echo "OK: result archived before the restart served as a cached hit, byte-identical"
 
 echo "== phase 3: gate passes clean, flags an injected 15% drop =="
 ./bin/sthist -store "$STORE" -trends -experiment E1a >"$STORE_REPORT"
