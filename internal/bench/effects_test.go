@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"testing"
 
 	"stacktrack/internal/cost"
@@ -41,43 +40,5 @@ func TestEffectOracleCleanAllStructures(t *testing.T) {
 		if res.San.EffectViolations != 0 {
 			t.Errorf("%s: effect violations on shipped annotations:\n%s", s, res.San)
 		}
-	}
-}
-
-// TestEffectOracleBitIdenticalResults is the oracle's read-only guarantee:
-// the observer hooks fire on every register and frame access but never
-// charge cycles or change state, so everything except the report bundle is
-// byte-for-byte identical with the oracle on or off.
-func TestEffectOracleBitIdenticalResults(t *testing.T) {
-	digest := func(check bool) []byte {
-		cfg := effectsTestConfig(StructList)
-		cfg.CheckEffects = check
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("Run(CheckEffects=%v): %v", check, err)
-		}
-		b, err := json.MarshalIndent(struct {
-			Ops, SuccInserts, SuccDeletes, Hits uint64
-			TotalInserts, TotalDeletes          uint64
-			FinalCount                          int
-			UAFReads, LiveObjects               uint64
-			Core                                any
-			Mem                                 any
-			Metrics                             any
-		}{
-			res.Ops, res.SuccInserts, res.SuccDeletes, res.Hits,
-			res.TotalInserts, res.TotalDeletes,
-			res.FinalCount, res.UAFReads, res.LiveObjects,
-			res.Core, res.Mem, res.Metrics,
-		}, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	plain := digest(false)
-	checked := digest(true)
-	if string(plain) != string(checked) {
-		t.Fatalf("enabling the effect oracle changed simulated results:\n--- without ---\n%.2000s\n--- with ---\n%.2000s", plain, checked)
 	}
 }

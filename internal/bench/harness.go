@@ -237,7 +237,7 @@ type Result struct {
 	// Profile and Folded carry the virtual-cycle profile when
 	// Config.Profile is set: the merged phase/op summary and the
 	// per-thread folded-stack lines (flamegraph.pl input).
-	Profile *metrics.ProfileSummary
+	Profile *trace.ProfileSummary
 	Folded  string
 
 	// Memory hygiene after the drain phase.
@@ -272,7 +272,7 @@ type instance struct {
 	al   *alloc.Allocator
 	sc   *sched.Scheduler
 	reg  *metrics.Registry
-	prof *metrics.Profiler
+	prof *trace.Profiler
 	san  *sanitize.Sanitizer
 	eff  *sanitize.EffectChecker // nil unless Config.CheckEffects
 
@@ -352,13 +352,12 @@ func newInstance(cfg Config) (*instance, error) {
 	in.al = alloc.New(in.m)
 	in.sc = sched.NewScheduler(in.m, cfg.Topology, cfg.Seed)
 	if cfg.Profile {
-		in.prof = metrics.NewProfiler()
+		in.prof = trace.NewProfiler()
 	}
 	if cfg.Sanitize {
 		in.san = sanitize.New(cfg.Threads)
 		in.m.SetObserver(in.san)
 		in.al.SetObserver(in.san)
-		in.sc.SetObserver(in.san)
 	}
 
 	if cfg.TraceEvents > 0 {
@@ -380,12 +379,19 @@ func newInstance(cfg Config) (*instance, error) {
 			t.Validate = true
 			t.SetUAFReporter(func(t *sched.Thread, a word.Addr) { in.uafReads++ })
 		}
+		// One lifecycle seam per thread, fanned out to whichever of the
+		// recorder, profiler and sanitizer are on (nil when none is).
+		var consumers []sched.Tracer
 		if in.tracer != nil {
-			t.Tracer = in.tracer
+			consumers = append(consumers, in.tracer)
 		}
 		if in.prof != nil {
-			t.Prof = in.prof.Thread(i)
+			consumers = append(consumers, in.prof.Thread(i))
 		}
+		if in.san != nil {
+			consumers = append(consumers, in.san)
+		}
+		t.Tracer = trace.Fanout(consumers...)
 		in.threads = append(in.threads, t)
 	}
 	if in.san != nil {

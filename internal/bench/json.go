@@ -13,6 +13,7 @@ import (
 
 	"stacktrack/internal/cost"
 	"stacktrack/internal/metrics"
+	"stacktrack/internal/trace"
 )
 
 // SchemaVersion is bumped whenever the JSON layout changes incompatibly;
@@ -63,14 +64,14 @@ type OptionsJSON struct {
 
 // PointJSON is one (series, threads) measurement point.
 type PointJSON struct {
-	Series          string                  `json:"series"`
-	Threads         int                     `json:"threads"`
-	Ops             uint64                  `json:"ops"`
-	Throughput      float64                 `json:"throughput"`
-	AvgSegmentLimit float64                 `json:"avg_segment_limit,omitempty"`
-	Derived         map[string]float64      `json:"derived,omitempty"`
-	Metrics         metrics.Snapshot        `json:"metrics"`
-	Profile         *metrics.ProfileSummary `json:"profile,omitempty"`
+	Series          string                `json:"series"`
+	Threads         int                   `json:"threads"`
+	Ops             uint64                `json:"ops"`
+	Throughput      float64               `json:"throughput"`
+	AvgSegmentLimit float64               `json:"avg_segment_limit,omitempty"`
+	Derived         map[string]float64    `json:"derived,omitempty"`
+	Metrics         metrics.Snapshot      `json:"metrics"`
+	Profile         *trace.ProfileSummary `json:"profile,omitempty"`
 }
 
 // derivedRates computes the per-point derived quantities. Unlike the raw
@@ -96,6 +97,20 @@ func derivedRates(threads int, res *Result) map[string]float64 {
 	return d
 }
 
+// pointJSON is the exported form of one completed point.
+func pointJSON(series string, threads int, res *Result) PointJSON {
+	return PointJSON{
+		Series:          series,
+		Threads:         threads,
+		Ops:             res.Ops,
+		Throughput:      res.Throughput,
+		AvgSegmentLimit: res.AvgSegmentLimit,
+		Derived:         derivedRates(threads, res),
+		Metrics:         res.Metrics,
+		Profile:         res.Profile,
+	}
+}
+
 // RunExperimentJSON runs one experiment with a point collector installed
 // and returns both the machine-readable result and the human-readable
 // table.
@@ -115,16 +130,7 @@ func RunExperimentJSON(e *Experiment, o Options) (*ExperimentJSON, *Table, error
 	}
 	prev := o.Collect // chain, don't clobber, a caller-installed observer
 	o.Collect = func(series string, threads int, res *Result) {
-		out.Points = append(out.Points, PointJSON{
-			Series:          series,
-			Threads:         threads,
-			Ops:             res.Ops,
-			Throughput:      res.Throughput,
-			AvgSegmentLimit: res.AvgSegmentLimit,
-			Derived:         derivedRates(threads, res),
-			Metrics:         res.Metrics,
-			Profile:         res.Profile,
-		})
+		out.Points = append(out.Points, pointJSON(series, threads, res))
 		if prev != nil {
 			prev(series, threads, res)
 		}

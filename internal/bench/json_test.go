@@ -114,44 +114,6 @@ func TestResultsJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfilingDoesNotChangeResults: the profiler reads virtual-time deltas
-// but never charges cycles, so enabling it must not move any simulated
-// quantity.
-func TestProfilingDoesNotChangeResults(t *testing.T) {
-	cfg := Config{
-		Structure:     StructList,
-		Scheme:        SchemeStackTrack,
-		Threads:       3,
-		MeasureCycles: 2_000_000,
-		WarmupCycles:  200_000,
-	}
-	plain, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Profile = true
-	profiled, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Ops != profiled.Ops || plain.Mem != profiled.Mem || plain.Core.Segments != profiled.Core.Segments {
-		t.Fatalf("profiling changed simulated results: ops %d vs %d, segments %d vs %d",
-			plain.Ops, profiled.Ops, plain.Core.Segments, profiled.Core.Segments)
-	}
-	if regs := CompareExperiments(
-		&ExperimentJSON{Points: []PointJSON{{Series: "s", Threads: 3, Ops: plain.Ops, Metrics: plain.Metrics}}},
-		&ExperimentJSON{Points: []PointJSON{{Series: "s", Threads: 3, Ops: profiled.Ops, Metrics: profiled.Metrics}}},
-		DefaultTolerance()); len(regs) != 0 {
-		t.Fatalf("profiling moved counters: %v", regs)
-	}
-	if profiled.Profile == nil || profiled.Profile.TotalCycles == 0 {
-		t.Fatal("profiled run produced no profile")
-	}
-	if profiled.Folded == "" {
-		t.Fatal("profiled run produced no folded stacks")
-	}
-}
-
 // TestFigure3HasExplicitColumn: all four abort classes appear in the
 // Figure 3 reporter.
 func TestFigure3HasExplicitColumn(t *testing.T) {

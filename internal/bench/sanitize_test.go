@@ -5,35 +5,115 @@ import (
 	"testing"
 )
 
-// TestSanitizeBitIdenticalJSON is the sanitizer's read-only guarantee:
-// running E1a with the race detector and shadow sanitizer enabled must
-// export byte-for-byte the same JSON as running without them. Only the
-// report bundle (Result.San, not exported) may differ.
+// TestSanitizeBitIdenticalJSON is the analysis layers' read-only
+// guarantee: the sanitizer, the effect oracle, the cycle profiler and the
+// trace recorder observe but never charge cycles or change state, so with
+// any of them on — alone, or all four fanned out on one lifecycle seam —
+// every point exports byte-for-byte the same JSON as a plain run, and the
+// post-drain state matches too. Only the analysis-only outputs (the
+// profile field, Result.Folded/Trace/San) may differ.
 func TestSanitizeBitIdenticalJSON(t *testing.T) {
-	e := FindExperiment("E1a")
-	if e == nil {
-		t.Fatal("experiment E1a not registered")
+	profiled := Config{
+		Structure:     StructList,
+		Scheme:        SchemeStackTrack,
+		Threads:       3,
+		MeasureCycles: 2_000_000,
+		WarmupCycles:  200_000,
 	}
-	opts := Options{Threads: []int{1, 2, 4}, MeasureMs: 1, WarmupMs: 0.2}
+	oversub := Config{
+		Structure:     StructHash,
+		Scheme:        SchemeHazards,
+		Threads:       12,
+		MeasureCycles: 1_000_000,
+		WarmupCycles:  200_000,
+	}
+	crashed := Config{
+		Structure:     StructList,
+		Scheme:        SchemeEpoch,
+		Threads:       4,
+		CrashThreads:  1,
+		MeasureCycles: 1_000_000,
+		WarmupCycles:  200_000,
+	}
+	anchored := Config{
+		Structure:     StructList,
+		Scheme:        SchemeDTA,
+		Threads:       2,
+		MeasureCycles: 1_000_000,
+		WarmupCycles:  200_000,
+	}
+	points := []Config{profiled, effectsTestConfig(StructList), oversub, crashed, anchored}
 
-	run := func(sanitize bool) []byte {
-		o := opts
-		o.Sanitize = sanitize
-		doc, _, err := RunExperimentJSON(e, o)
+	sanitize := func(c *Config) { c.Sanitize = true }
+	effects := func(c *Config) { c.CheckEffects = true }
+	profile := func(c *Config) { c.Profile = true }
+	traced := func(c *Config) { c.TraceEvents = 1 << 12 }
+	cases := []struct {
+		name string
+		on   []func(*Config)
+	}{
+		{"Sanitize", []func(*Config){sanitize}},
+		{"CheckEffects", []func(*Config){effects}},
+		{"Profile", []func(*Config){profile}},
+		{"TraceEvents", []func(*Config){traced}},
+		{"All", []func(*Config){sanitize, effects, profile, traced}},
+	}
+
+	digest := func(cfg Config) ([]byte, *Result) {
+		res, err := Run(cfg)
 		if err != nil {
-			t.Fatalf("RunExperimentJSON(sanitize=%v): %v", sanitize, err)
+			t.Fatalf("Run(%+v): %v", cfg, err)
 		}
-		b, err := json.MarshalIndent(doc, "", "  ")
+		pt := pointJSON(cfg.Scheme, cfg.Threads, res)
+		pt.Profile = nil
+		b, err := json.MarshalIndent(struct {
+			Point                                PointJSON
+			SuccInserts, SuccDeletes, Hits       uint64
+			TotalInserts, TotalDeletes           uint64
+			FinalCount, PendingFrees             int
+			UAFReads, LiveObjects, LeakedObjects uint64
+			Core                                 any
+			Mem                                  any
+		}{
+			pt, res.SuccInserts, res.SuccDeletes, res.Hits,
+			res.TotalInserts, res.TotalDeletes,
+			res.FinalCount, res.PendingFrees,
+			res.UAFReads, res.LiveObjects, res.LeakedObjects,
+			res.Core, res.Mem,
+		}, "", " ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return b, res
 	}
 
-	plain := run(false)
-	sanitized := run(true)
-	if string(plain) != string(sanitized) {
-		t.Fatalf("enabling the sanitizer changed the exported JSON:\n--- without ---\n%.2000s\n--- with ---\n%.2000s", plain, sanitized)
+	plain := make([][]byte, len(points))
+	for i, cfg := range points {
+		plain[i], _ = digest(cfg)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, cfg := range points {
+				for _, on := range tc.on {
+					on(&cfg)
+				}
+				got, res := digest(cfg)
+				if string(got) != string(plain[i]) {
+					t.Fatalf("%s/%s/%d threads: the exported point changed:\n--- without ---\n%.2000s\n--- with ---\n%.2000s",
+						cfg.Structure, cfg.Scheme, cfg.Threads, plain[i], got)
+				}
+				// The analyses must actually have run.
+				if cfg.Profile && (res.Profile == nil || res.Profile.TotalCycles == 0 || res.Folded == "") {
+					t.Fatal("profiled run produced no profile or folded stacks")
+				}
+				if cfg.TraceEvents > 0 && (res.Trace == nil || res.Trace.Len() == 0) {
+					t.Fatal("traced run recorded no events")
+				}
+				if (cfg.Sanitize || cfg.CheckEffects) && res.San == nil {
+					t.Fatal("analysis run produced no report bundle")
+				}
+			}
+		})
 	}
 }
 

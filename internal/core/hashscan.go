@@ -66,7 +66,7 @@ func (st *StackTrack) startHashedScan(t *sched.Thread) *hashedScanState {
 	ts.scanPtrs, ts.scanHeld = nil, nil
 	ts.freeSet = ts.freeSet[:0]
 	st.c.scans.Inc(t.ID)
-	t.Trace(sched.TraceScanStart, uint64(len(s.ptrs)))
+	t.Trace(sched.TraceScanStart, uint64(len(s.ptrs)), 0)
 	return s
 }
 
@@ -211,6 +211,6 @@ func (s *hashedScanState) finish(t *sched.Thread) {
 		s.st.c.freed.Inc(t.ID)
 		freed++
 	}
-	t.Trace(sched.TraceScanEnd, freed)
+	t.Trace(sched.TraceScanEnd, freed, 0)
 	ts.scanPtrs, ts.scanHeld = s.ptrs[:0], s.held
 }

@@ -17,7 +17,6 @@ import (
 
 	"stacktrack/internal/cost"
 	"stacktrack/internal/mem"
-	"stacktrack/internal/metrics"
 	"stacktrack/internal/prog"
 	"stacktrack/internal/sched"
 	"stacktrack/internal/word"
@@ -62,8 +61,8 @@ type Runner struct {
 	// only after the segment (and thus the unlink) commits.
 	retirePending []word.Addr
 
-	// Virtual-time marks for the profiler and the wasted-cycles
-	// counter. They never feed back into charging.
+	// Virtual-time marks for the op-latency histogram and the
+	// wasted-cycles counter. They never feed back into charging.
 	opStartV  cost.Cycles
 	segStartV cost.Cycles
 }
@@ -83,13 +82,10 @@ func (r *Runner) Start(t *sched.Thread, op *prog.Op) {
 	st.state(t).runner = r
 	r.opStartV = t.VTime()
 	// Op setup (activity registration, SPLIT_INIT stores) is tx-begin
-	// work; the fence inside is leaf-attributed to its own phase.
-	var sp metrics.Span
-	if t.Prof != nil {
-		sp = t.Prof.SpanStart()
-	}
+	// work; the fence inside is attributed to its own phase.
+	t.Trace(sched.TraceSpanOpen, 0, 0)
 	st.BeginOp(t, op.ID)
-	t.Trace(sched.TraceOpStart, uint64(op.ID))
+	t.Trace(sched.TraceOpStart, uint64(op.ID), 0)
 
 	r.op = op
 	r.pc = 0
@@ -104,9 +100,7 @@ func (r *Runner) Start(t *sched.Thread, op *prog.Op) {
 	// counter write is ordered before any segment commit (Alg. 2).
 	t.StorePlain(t.SplitsAddr(), 0)
 	t.Fence()
-	if t.Prof != nil {
-		t.Prof.SpanPhase(sp, metrics.PhaseTxBegin, uint64(t.VTime()-r.opStartV))
-	}
+	t.Trace(sched.TraceSpanClose, uint64(sched.PhaseTxBegin), 0)
 
 	if st.cfg.ForceSlowPct > 0 && t.Rng.Intn(100) < st.cfg.ForceSlowPct {
 		// Figure 5 experiment: force this operation onto the slow path.
@@ -122,14 +116,11 @@ func (r *Runner) Start(t *sched.Thread, op *prog.Op) {
 func (r *Runner) Step(t *sched.Thread) bool {
 	switch r.state {
 	case stScan:
-		if t.Prof != nil {
-			sp := t.Prof.SpanStart()
-			v0 := t.VTime()
-			// Frees inside the scan are leaf-attributed to the free
-			// phase; the span keeps only the inspection itself.
-			defer func() {
-				t.Prof.SpanPhase(sp, metrics.PhaseScan, uint64(t.VTime()-v0))
-			}()
+		if t.Tracer != nil {
+			// Frees inside the scan are attributed to the free phase;
+			// the span keeps only the inspection itself.
+			t.Tracer.TraceEvent(t, sched.TraceSpanOpen, 0, 0)
+			defer t.Tracer.TraceEvent(t, sched.TraceSpanClose, uint64(sched.PhaseScan), 0)
 		}
 		if r.scan.step(t) {
 			r.scan = nil
@@ -177,21 +168,14 @@ func (r *Runner) stepUnsupported(t *sched.Thread) bool {
 	}
 	cur := r.pc
 	t.CurOp, t.CurBlock = r.op.Name, cur
-	var sp metrics.Span
-	var v0 cost.Cycles
-	if t.Prof != nil {
-		sp = t.Prof.SpanStart()
-		v0 = t.VTime()
-	}
+	t.Trace(sched.TraceSpanOpen, uint64(r.op.ID), 0)
 	t.Charge(cost.Block)
 	if t.EffectObs != nil {
 		r.pc = r.runBlockObserved(t, cur)
 	} else {
 		r.pc = r.op.Blocks[r.pc](t, r.frame)
 	}
-	if t.Prof != nil {
-		t.Prof.SpanBlock(sp, r.op.ID, cur, r.op.Name, uint64(t.VTime()-v0))
-	}
+	t.Trace(sched.TraceSpanClose, uint64(sched.PhaseBlock), 0)
 	if r.pc == prog.Done {
 		if r.st.NeedScan(t) {
 			r.beginScan(t, stFast)
@@ -247,10 +231,9 @@ func (r *Runner) commitSegment(t *sched.Thread, final bool) mem.AbortReason {
 		return reason
 	}
 	t.Charge(cost.TxCommit)
-	// Leaf-attributed so the expose/commit cost is excluded from the
-	// enclosing block span.
-	t.ProfLeaf(metrics.PhaseTxCommit, t.VTime()-v0)
-	r.afterCommit(t)
+	// The commit event claims the expose/commit cost, excluding it from
+	// the enclosing block span.
+	r.afterCommit(t, t.VTime()-v0)
 	return mem.NoAbort
 }
 
@@ -262,7 +245,7 @@ func (r *Runner) splitStart(t *sched.Thread) {
 	t.Tx = t.M.Begin(t.ID)
 	t.Mode = sched.ModeFast
 	t.Charge(cost.TxBegin)
-	t.ProfLeaf(metrics.PhaseTxBegin, cost.TxBegin)
+	t.Trace(sched.TraceCycles, uint64(sched.PhaseTxBegin), cost.TxBegin)
 	r.segStartV = t.VTime()
 	r.inTx = true
 	r.segPC = r.pc
@@ -273,17 +256,17 @@ func (r *Runner) splitStart(t *sched.Thread) {
 // fastWork runs one basic block and, when a checkpoint fires, the segment
 // commit. Any transactional abort surfaces as the returned reason.
 func (r *Runner) fastWork(t *sched.Thread) (finished bool, abort mem.AbortReason) {
-	if t.Prof != nil {
-		// Deferred so the abort-panic path attributes too; runs after
-		// the recover below (LIFO), when the panic is already handled.
-		// Commit/fence/free leaves inside claim their own cycles.
-		sp := t.Prof.SpanStart()
-		v0 := t.VTime()
-		blockPC := r.pc
-		op := r.op // finishOp may clear r.op before the defer runs
-		defer func() {
-			t.Prof.SpanBlock(sp, op.ID, blockPC, op.Name, uint64(t.VTime()-v0))
-		}()
+	// One basic block, plus the SPLIT_CHECKPOINT bookkeeping the compiler
+	// injected at its start.
+	cur := r.pc
+	t.CurOp, t.CurBlock = r.op.Name, cur
+	if t.Tracer != nil {
+		// The close is deferred so the abort-panic path attributes too;
+		// it runs after the recover below (LIFO), when the panic is
+		// already handled. Commit/fence/free events inside claim their
+		// own cycles.
+		t.Tracer.TraceEvent(t, sched.TraceSpanOpen, uint64(r.op.ID), 0)
+		defer t.Tracer.TraceEvent(t, sched.TraceSpanClose, uint64(sched.PhaseBlock), 0)
 	}
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -296,10 +279,6 @@ func (r *Runner) fastWork(t *sched.Thread) (finished bool, abort mem.AbortReason
 		}
 	}()
 
-	// One basic block, plus the SPLIT_CHECKPOINT bookkeeping the compiler
-	// injected at its start.
-	cur := r.pc
-	t.CurOp, t.CurBlock = r.op.Name, cur
 	t.Charge(cost.Block + cost.Checkpoint)
 	if t.EffectObs != nil {
 		r.pc = r.runBlockObserved(t, cur)
@@ -351,8 +330,8 @@ func (r *Runner) fastWork(t *sched.Thread) (finished bool, abort mem.AbortReason
 }
 
 // afterCommit performs the post-commit bookkeeping: predictor update,
-// statistics, retire flushing.
-func (r *Runner) afterCommit(t *sched.Thread) {
+// statistics, retire flushing. commit is the commit work's cost.
+func (r *Runner) afterCommit(t *sched.Thread, commit cost.Cycles) {
 	ts := r.st.state(t)
 	t.Mode = sched.ModePlain
 	t.Tx = nil
@@ -364,7 +343,7 @@ func (r *Runner) afterCommit(t *sched.Thread) {
 	c.segments.Inc(t.ID)
 	c.segmentBlocks.Add(t.ID, uint64(r.steps))
 	c.segLenHist.Observe(t.ID, uint64(r.steps))
-	t.Trace(sched.TraceSegCommit, uint64(r.steps))
+	t.Trace(sched.TraceSegCommit, uint64(r.steps), commit)
 	r.splitIdx++
 	r.segFails = 0
 
@@ -396,8 +375,7 @@ func (r *Runner) handleAbort(t *sched.Thread, reason mem.AbortReason) {
 	t.RestoreRegs(r.segRegs)
 	t.SetSP(r.segSP)
 	r.pc = r.segPC
-	t.Trace(sched.TraceSegAbort, uint64(reason))
-	t.ProfLeaf(metrics.PhaseTxAbort, t.VTime()-v0)
+	t.Trace(sched.TraceSegAbort, uint64(reason), t.VTime()-v0)
 
 	ts := r.st.state(t)
 	ts.onSegAbort(r.st.cfg, r.op.ID, r.splitIdx)
@@ -410,7 +388,7 @@ func (r *Runner) handleAbort(t *sched.Thread, reason mem.AbortReason) {
 			r.st.slowBegin(t)
 			r.state = stSlow
 			r.segFails = 0
-			t.Trace(sched.TraceSlowPath, uint64(r.pc))
+			t.Trace(sched.TraceSlowPath, uint64(r.pc), 0)
 		}
 	} else {
 		r.segFails = 0
@@ -422,21 +400,14 @@ func (r *Runner) handleAbort(t *sched.Thread, reason mem.AbortReason) {
 func (r *Runner) stepSlow(t *sched.Thread) bool {
 	cur := r.pc
 	t.CurOp, t.CurBlock = r.op.Name, cur
-	var sp metrics.Span
-	var v0 cost.Cycles
-	if t.Prof != nil {
-		sp = t.Prof.SpanStart()
-		v0 = t.VTime()
-	}
+	t.Trace(sched.TraceSpanOpen, uint64(r.op.ID), 0)
 	t.Charge(cost.Block)
 	if t.EffectObs != nil {
 		r.pc = r.runBlockObserved(t, cur)
 	} else {
 		r.pc = r.op.Blocks[r.pc](t, r.frame)
 	}
-	if t.Prof != nil {
-		t.Prof.SpanBlock(sp, r.op.ID, cur, r.op.Name, uint64(t.VTime()-v0))
-	}
+	t.Trace(sched.TraceSpanClose, uint64(sched.PhaseBlock), 0)
 
 	if r.pc == prog.Done {
 		if r.st.NeedScan(t) {
@@ -472,11 +443,11 @@ func (r *Runner) finishOp(t *sched.Thread) bool {
 		r.st.slowCommit(t)
 		// Slow-path publication/teardown is commit work, not block
 		// work (the enclosing span, if any, must exclude it).
-		t.ProfLeaf(metrics.PhaseTxCommit, t.VTime()-v0)
+		t.Trace(sched.TraceCycles, uint64(sched.PhaseTxCommit), t.VTime()-v0)
 	}
 	t.PopFrame(r.frame)
 	r.st.EndOp(t)
-	t.Trace(sched.TraceOpEnd, t.Reg(prog.RegResult))
+	t.TraceOpEnd(prog.RegResult)
 	r.st.c.opCycles.Observe(t.ID, uint64(t.VTime()-r.opStartV))
 	r.op = nil
 	r.state = stIdle

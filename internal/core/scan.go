@@ -89,7 +89,7 @@ func (st *StackTrack) startPtrScan(t *sched.Thread) *scanState {
 	ts.scanPtrs, ts.scanFound = nil, nil
 	ts.freeSet = ts.freeSet[:0]
 	st.c.scans.Inc(t.ID)
-	t.Trace(sched.TraceScanStart, uint64(len(s.ptrs)))
+	t.Trace(sched.TraceScanStart, uint64(len(s.ptrs)), 0)
 	return s
 }
 
@@ -294,7 +294,7 @@ func (s *scanState) finishPtr(t *sched.Thread) {
 func (s *scanState) end(t *sched.Thread) {
 	if !s.ended {
 		s.ended = true
-		t.Trace(sched.TraceScanEnd, s.freed)
+		t.Trace(sched.TraceScanEnd, s.freed, 0)
 		ts := s.st.state(t)
 		ts.scanPtrs, ts.scanFound = s.ptrs[:0], s.found[:0]
 	}

@@ -1,8 +1,7 @@
 // Package metrics is the simulator's observability layer: a registry of
 // named counters, gauges and log-scale histograms that the mem, alloc,
-// sched and core layers record into, plus a virtual-cycle profiler
-// (profile.go) that attributes simulated cycles to phases and program
-// blocks.
+// sched and core layers record into. (The virtual-cycle profiler is a
+// lifecycle-event consumer in internal/trace.)
 //
 // The design constraint is zero allocation on the hot path. Handles are
 // obtained once (at wiring time) from the Registry; recording is a plain

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestBucketOf pins the log2 bucket boundaries, including the powers
 // of two on each side and the overflow cap.
@@ -131,78 +128,6 @@ func TestRegistryReset(t *testing.T) {
 	}
 	if g.Value() != 7 {
 		t.Fatal("reset clobbered a gauge")
-	}
-}
-
-// TestSpanSelfCycles checks the inner-counter mechanism: leaf cycles
-// inside a span are excluded from the span's self-cycles.
-func TestSpanSelfCycles(t *testing.T) {
-	tp := &ThreadProfile{ID: 0}
-	sp := tp.SpanStart()
-	tp.AddLeaf(PhaseFence, 80)
-	tp.AddLeaf(PhaseFree, 90)
-	tp.SpanBlock(sp, 0, 2, "op", 1000)
-	if got := tp.PhaseCycles(PhaseBlock); got != 830 {
-		t.Fatalf("block self-cycles %d, want 830", got)
-	}
-	if tp.PhaseCycles(PhaseFence) != 80 || tp.PhaseCycles(PhaseFree) != 90 {
-		t.Fatal("leaf phases wrong")
-	}
-	if tp.Total() != 1000 {
-		t.Fatalf("total %d, want 1000 (phases must partition elapsed)", tp.Total())
-	}
-	// Elapsed fully claimed by leaves → no negative self-cycles.
-	sp2 := tp.SpanStart()
-	tp.AddLeaf(PhaseFence, 500)
-	tp.SpanPhase(sp2, PhaseScan, 400)
-	if tp.PhaseCycles(PhaseScan) != 0 {
-		t.Fatal("over-claimed span must clamp to zero")
-	}
-}
-
-func TestFoldedStacksDeterministic(t *testing.T) {
-	p := NewProfiler()
-	t1 := p.Thread(1)
-	t0 := p.Thread(0)
-	t0.AddPhase(PhaseFence, 10)
-	sp := t0.SpanStart()
-	t0.SpanBlock(sp, 0, 0, "push", 100)
-	t1.AddPhase(PhasePreempt, 5)
-	var a, b strings.Builder
-	if err := p.FoldedStacks(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.FoldedStacks(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatal("folded output not deterministic")
-	}
-	want := "t0;fence 10\nt0;block;push;b0 100\nt1;preempt 5\n"
-	if a.String() != want {
-		t.Fatalf("folded output:\n%q\nwant:\n%q", a.String(), want)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	p := NewProfiler()
-	tp := p.Thread(0)
-	sp := tp.SpanStart()
-	tp.AddLeaf(PhaseTxCommit, 30)
-	tp.SpanBlock(sp, 1, 0, "pop", 130)
-	s := p.Summary()
-	if s.TotalCycles != 130 {
-		t.Fatalf("total %d", s.TotalCycles)
-	}
-	if s.Phases["block"] != 100 || s.Phases["tx-commit"] != 30 {
-		t.Fatalf("phases %v", s.Phases)
-	}
-	if s.Ops["pop"] != 100 {
-		t.Fatalf("ops %v", s.Ops)
-	}
-	top := s.TopPhases()
-	if len(top) != 2 || top[0].Name != "block" {
-		t.Fatalf("top phases %v", top)
 	}
 }
 

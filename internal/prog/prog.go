@@ -112,7 +112,7 @@ func (r *PlainRunner) Start(t *sched.Thread, op *Op) {
 	}
 	r.opStartV = t.VTime()
 	t.Scheme.BeginOp(t, op.ID)
-	t.Trace(sched.TraceOpStart, uint64(op.ID))
+	t.Trace(sched.TraceOpStart, uint64(op.ID), 0)
 	r.op = op
 	r.pc = 0
 	r.frame = t.PushFrame(op.FrameWords)
@@ -126,12 +126,7 @@ func (r *PlainRunner) Step(t *sched.Thread) bool {
 	}
 	cur := r.pc
 	t.CurOp, t.CurBlock = r.op.Name, cur
-	var sp metrics.Span
-	var v0 cost.Cycles
-	if t.Prof != nil {
-		sp = t.Prof.SpanStart()
-		v0 = t.VTime()
-	}
+	t.Trace(sched.TraceSpanOpen, uint64(r.op.ID), 0)
 	t.Charge(cost.Block)
 	if t.EffectObs != nil {
 		t.EffectObs.BlockStart(t, r.op.Name, cur)
@@ -143,19 +138,15 @@ func (r *PlainRunner) Step(t *sched.Thread) bool {
 	if r.pc == Done {
 		t.PopFrame(r.frame)
 		t.Scheme.EndOp(t)
-		t.Trace(sched.TraceOpEnd, t.Reg(RegResult))
-		if t.Prof != nil {
-			t.Prof.SpanBlock(sp, r.op.ID, cur, r.op.Name, uint64(t.VTime()-v0))
-		}
+		t.TraceOpEnd(RegResult)
+		t.Trace(sched.TraceSpanClose, uint64(sched.PhaseBlock), 0)
 		if r.Hist != nil {
 			r.Hist.Observe(t.ID, uint64(t.VTime()-r.opStartV))
 		}
 		r.busy = false
 		return true
 	}
-	if t.Prof != nil {
-		t.Prof.SpanBlock(sp, r.op.ID, cur, r.op.Name, uint64(t.VTime()-v0))
-	}
+	t.Trace(sched.TraceSpanClose, uint64(sched.PhaseBlock), 0)
 	return false
 }
 

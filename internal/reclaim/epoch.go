@@ -105,7 +105,7 @@ func (e *Epoch) startWait(t *sched.Thread) {
 			e.watches[t.ID] = append(e.watches[t.ID], epochWatch{tid: u.ID, snap: ts})
 		}
 	}
-	t.Trace(sched.TraceBlocked, uint64(len(e.watches[t.ID])))
+	t.Trace(sched.TraceBlocked, uint64(len(e.watches[t.ID])), 0)
 	e.installWait(t)
 }
 

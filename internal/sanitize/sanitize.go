@@ -2,7 +2,9 @@
 // happens-before data-race detector (vector clocks with the FastTrack
 // epoch fast path) plus a shadow-memory allocation sanitizer (per-word
 // valid/freed/redzone state with alloc/free/use provenance), both fed by
-// observer hooks in internal/mem, internal/alloc, and internal/sched.
+// the per-access observer hooks in internal/mem and internal/alloc and by
+// the scheduler's hand-off and crash events on the lifecycle seam
+// (sched.Tracer).
 //
 // The sanitizer is strictly read-only with respect to the simulation: it
 // charges no virtual cycles, allocates no simulated memory, and makes no
@@ -142,7 +144,7 @@ type accKey struct {
 	use   siteKey
 }
 
-// Sanitizer implements the mem, alloc, and sched observer interfaces.
+// Sanitizer implements mem.Observer, alloc.Observer, and sched.Tracer.
 // It is pure host-side analysis state; none of it is snapshotted.
 type Sanitizer struct {
 	n       int
@@ -167,7 +169,8 @@ type Sanitizer struct {
 }
 
 // New creates a sanitizer for a simulation with n threads. Wire it with
-// SetObserver on the memory, allocator, and scheduler, then Attach.
+// SetObserver on the memory and allocator, install it as every thread's
+// Tracer, then Attach.
 func New(n int) *Sanitizer {
 	if n < 1 {
 		n = 1
@@ -640,24 +643,27 @@ func (s *Sanitizer) ObjectUnalloc(p word.Addr, size int) {
 	delete(s.meta, p)
 }
 
-// --- sched.Observer ---------------------------------------------------------
+// --- sched.Tracer -----------------------------------------------------------
 
-// ThreadHandoff implements sched.Observer.
-func (s *Sanitizer) ThreadHandoff(out, in int) {
-	if s.racesOff || !s.valid(out) || !s.valid(in) {
-		return
-	}
-	s.vcs[in].join(s.vcs[out])
-	s.bump(out)
-}
-
-// ThreadCrash implements sched.Observer: a crashed thread's epochs stop
-// participating in race reports — nothing will ever synchronize with it
-// again, so every later access would otherwise "race" with its last
-// writes, drowning the real finding (the schemes' handling of the crash
-// is what the crash oracles check).
-func (s *Sanitizer) ThreadCrash(tid int) {
-	if s.valid(tid) {
-		s.crashed[tid] = true
+// TraceEvent implements sched.Tracer. Two lifecycle events are
+// synchronization: a hand-off orders the outgoing thread t before the
+// incoming one (arg; sched.NoThread when the context empties), and a
+// crash takes t's epochs out of race reports — nothing will ever
+// synchronize with it again, so every later access would otherwise "race"
+// with its last writes, drowning the real finding (the schemes' handling
+// of the crash is what the crash oracles check). Other kinds are ignored.
+func (s *Sanitizer) TraceEvent(t *sched.Thread, k sched.TraceKind, arg uint64, _ cost.Cycles) {
+	switch k {
+	case sched.TraceHandoff:
+		out, in := t.ID, int(arg)
+		if s.racesOff || !s.valid(out) || !s.valid(in) {
+			return
+		}
+		s.vcs[in].join(s.vcs[out])
+		s.bump(out)
+	case sched.TraceCrash:
+		if s.valid(t.ID) {
+			s.crashed[t.ID] = true
+		}
 	}
 }

@@ -6,10 +6,12 @@ package sched
 // to check observed accesses against the operation's declared
 // Reads/Writes/LoadsPtr/Kills effect sets.
 //
-// Like Tracer and Prof, the observer is purely observational: hooks fire
-// after the underlying access completes, never charge cycles, and are not
-// part of snapshot state — simulated results are bit-identical with an
-// observer installed or not.
+// It is a per-access seam, separate from the lifecycle seam (Tracer): it
+// fires on every register and frame-slot access inside a block. Like
+// Tracer, it is purely observational: hooks fire after the underlying
+// access completes, never charge cycles, and are not part of snapshot
+// state — simulated results are bit-identical with an observer installed
+// or not.
 type EffectObserver interface {
 	// BlockStart fires immediately before a runner executes basic block
 	// `block` of operation `op`.

@@ -445,10 +445,8 @@ func TestBlockedBackoffGrows(t *testing.T) {
 }
 
 func TestTraceKindStrings(t *testing.T) {
-	kinds := []TraceKind{TraceOpStart, TraceOpEnd, TraceSegCommit, TraceSegAbort,
-		TraceSlowPath, TraceScanStart, TraceScanEnd, TraceFree, TracePreempt, TraceBlocked}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := TraceOpStart; k <= TraceSpanClose; k++ {
 		s := k.String()
 		if s == "" || s == "unknown" || seen[s] {
 			t.Fatalf("bad or duplicate name %q for kind %d", s, k)
@@ -457,6 +455,76 @@ func TestTraceKindStrings(t *testing.T) {
 	}
 	if TraceKind(200).String() != "unknown" {
 		t.Fatal("unknown kind should render as unknown")
+	}
+}
+
+// edgeEvent is one scheduler-edge event as a tracer saw it.
+type edgeEvent struct {
+	tid  int
+	kind TraceKind
+	arg  uint64
+}
+
+// edgeRecorder keeps the hand-off and crash events it receives.
+type edgeRecorder struct{ evs []edgeEvent }
+
+func (r *edgeRecorder) TraceEvent(t *Thread, k TraceKind, arg uint64, _ cost.Cycles) {
+	if k == TraceHandoff || k == TraceCrash {
+		r.evs = append(r.evs, edgeEvent{t.ID, k, arg})
+	}
+}
+
+// TestSchedulerEmitsHandoffAndCrash: a timeslice rotation and a finished
+// occupant's retirement each report Handoff(out, in) on the outgoing
+// thread — NoThread once the context empties — and Crash reports on the
+// crashed thread.
+func TestSchedulerEmitsHandoffAndCrash(t *testing.T) {
+	newSingle := func(n int, limit int) (*Scheduler, []*Thread, *edgeRecorder) {
+		m := mem.New(mem.Config{Words: 1 << 18})
+		a := alloc.New(m)
+		tp := topo.Topology{Cores: 1, ThreadsPerCore: 1, L1Lines: 512, ReadSetLines: 4096}
+		sc := NewScheduler(m, tp, 1)
+		rec := &edgeRecorder{}
+		var ts []*Thread
+		for i := 0; i < n; i++ {
+			th := NewThread(i, m, a, uint64(i)+100)
+			th.Scheme = NopReclaimer{}
+			th.Tracer = rec
+			sc.AddThread(th, &counterStepper{cost: 1000, limit: limit})
+			ts = append(ts, th)
+		}
+		return sc, ts, rec
+	}
+
+	// rotate: two endless threads share one context; the timeslice
+	// switches 0 out for 1, then 1 out for 0.
+	sc, _, rec := newSingle(2, 0)
+	sc.Run(cost.TimesliceQuantum * 3)
+	if len(rec.evs) < 2 {
+		t.Fatalf("rotation produced %d hand-offs, want at least 2: %v", len(rec.evs), rec.evs)
+	}
+	if rec.evs[0] != (edgeEvent{0, TraceHandoff, 1}) || rec.evs[1] != (edgeEvent{1, TraceHandoff, 0}) {
+		t.Fatalf("rotation hand-offs %v, want 0->1 then 1->0", rec.evs[:2])
+	}
+
+	// retireFromContext: one-step threads finish in turn; the last leaves
+	// the context empty.
+	sc, _, rec = newSingle(2, 1)
+	sc.Run(cost.TimesliceQuantum)
+	want := []edgeEvent{{0, TraceHandoff, 1}, {1, TraceHandoff, NoThread}}
+	if len(rec.evs) != len(want) || rec.evs[0] != want[0] || rec.evs[1] != want[1] {
+		t.Fatalf("retirement hand-offs %v, want %v", rec.evs, want)
+	}
+
+	// Crash: reported once, on the crashed thread.
+	sc, ts, rec := newSingle(2, 0)
+	sc.Crash(1)
+	sc.Crash(1)
+	if len(rec.evs) != 1 || rec.evs[0] != (edgeEvent{1, TraceCrash, 0}) {
+		t.Fatalf("crash events %v, want one Crash on thread 1", rec.evs)
+	}
+	if !ts[1].Crashed() {
+		t.Fatal("thread 1 not crashed")
 	}
 }
 

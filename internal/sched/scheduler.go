@@ -111,8 +111,6 @@ type Scheduler struct {
 	ctrSwitches *metrics.Counter
 	ctrPolls    *metrics.Counter
 	ctrCrashes  *metrics.Counter
-
-	obs Observer
 }
 
 // NewScheduler creates a scheduler over m with the given topology and
@@ -343,9 +341,7 @@ func (s *Scheduler) Crash(tid int) {
 	s.M.AbortTx(tid, mem.Preempt)
 	t.crashed = true
 	s.ctrCrashes.Inc(tid)
-	if s.obs != nil {
-		s.obs.ThreadCrash(tid)
-	}
+	t.Trace(TraceCrash, 0, 0)
 	ctx := s.contexts[t.hw]
 	for i, q := range ctx.queue {
 		if q == t {
@@ -484,9 +480,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 				}
 				t.Charge(c)
 				s.ctrPolls.Inc(t.ID)
-				if t.Prof != nil {
-					t.Prof.AddPhase(metrics.PhaseBlocked, uint64(c))
-				}
+				t.Trace(TraceCycles, uint64(PhaseBlocked), c)
 				ctx.clock = t.vtime
 				s.markDirty(ctx.id)
 				continue
@@ -507,9 +501,7 @@ func (s *Scheduler) Run(until cost.Cycles) {
 			// sibling hyperthread is busy.
 			extra := cost.Cycles(float64(t.vtime-before) * s.Topo.HTSlowdown)
 			t.Charge(extra)
-			if t.Prof != nil {
-				t.Prof.AddPhase(metrics.PhaseHTSlow, uint64(extra))
-			}
+			t.Trace(TraceCycles, uint64(PhaseHTSlow), extra)
 		}
 		if sib {
 			s.maybeSiblingEvict(t)
@@ -573,19 +565,16 @@ func (s *Scheduler) anyWaiterBelow(ctx *hwContext, until cost.Cycles) bool {
 func (s *Scheduler) rotate(ctx *hwContext, until cost.Cycles) {
 	out := ctx.queue[0]
 	s.M.AbortTx(out.ID, mem.Preempt)
-	out.Trace(TracePreempt, 0)
+	out.Trace(TracePreempt, 0, cost.ContextSwitch)
 	out.Charge(cost.ContextSwitch)
 	s.ctrPreempts.Inc(out.ID)
-	if out.Prof != nil {
-		out.Prof.AddPhase(metrics.PhasePreempt, uint64(cost.ContextSwitch))
-	}
 	out.running = false
 	ctx.clock = maxCycles(ctx.clock, out.vtime)
 	copy(ctx.queue, ctx.queue[1:])
 	ctx.queue[len(ctx.queue)-1] = out
 	s.switchIn(ctx, until)
-	if s.obs != nil {
-		s.obs.ThreadHandoff(out.ID, s.OccupantID(ctx.id))
+	if out.Tracer != nil {
+		out.Tracer.TraceEvent(out, TraceHandoff, uint64(s.OccupantID(ctx.id)), 0)
 	}
 }
 
@@ -596,8 +585,8 @@ func (s *Scheduler) retireFromContext(ctx *hwContext, until cost.Cycles) {
 	ctx.clock = maxCycles(ctx.clock, out.vtime)
 	ctx.queue = ctx.queue[1:]
 	s.switchIn(ctx, until)
-	if s.obs != nil {
-		s.obs.ThreadHandoff(out.ID, s.OccupantID(ctx.id))
+	if out.Tracer != nil {
+		out.Tracer.TraceEvent(out, TraceHandoff, uint64(s.OccupantID(ctx.id)), 0)
 	}
 }
 
@@ -612,10 +601,8 @@ func (s *Scheduler) switchIn(ctx *hwContext, until cost.Cycles) {
 	was := in.vtime
 	in.vtime = maxCycles(in.vtime, ctx.clock) + cost.ContextSwitch
 	s.ctrSwitches.Inc(in.ID)
-	if in.Prof != nil {
-		// The jump covers descheduled time plus the switch-in cost.
-		in.Prof.AddPhase(metrics.PhasePreempt, uint64(in.vtime-was))
-	}
+	// The jump covers descheduled time plus the switch-in cost.
+	in.Trace(TraceCycles, uint64(PhasePreempt), in.vtime-was)
 	in.running = true
 	ctx.sliceStart = in.vtime
 	ctx.clock = in.vtime

@@ -26,7 +26,6 @@ import (
 	"stacktrack/internal/alloc"
 	"stacktrack/internal/cost"
 	"stacktrack/internal/mem"
-	"stacktrack/internal/metrics"
 	"stacktrack/internal/rng"
 	"stacktrack/internal/word"
 )
@@ -120,17 +119,12 @@ type Thread struct {
 	// (used by the epoch scheme's wait-for-quiescence).
 	Blocked func() bool
 
-	// Tracer, when non-nil, receives simulation events (see trace.go).
+	// Tracer, when non-nil, receives lifecycle events (see trace.go).
 	Tracer Tracer
-
-	// Prof, when non-nil, receives virtual-cycle attribution (see
-	// internal/metrics). The hooks only read clock deltas, so enabling
-	// profiling cannot change simulated results.
-	Prof *metrics.ThreadProfile
 
 	// EffectObs, when non-nil, receives register/frame access events for
 	// the dynamic effect oracle (see effects.go). Purely observational,
-	// like Tracer and Prof.
+	// like Tracer.
 	EffectObs EffectObserver
 
 	// Scheduler bookkeeping.
@@ -335,17 +329,7 @@ func (t *Thread) StorePlain(a word.Addr, v uint64) {
 // Fence charges a full memory fence.
 func (t *Thread) Fence() {
 	t.vtime += cost.Fence
-	if t.Prof != nil {
-		t.Prof.AddLeaf(metrics.PhaseFence, uint64(cost.Fence))
-	}
-}
-
-// ProfLeaf attributes c already-charged cycles to phase ph as a leaf
-// (claimed from any enclosing profiler span). No-op without a profile.
-func (t *Thread) ProfLeaf(ph metrics.Phase, c cost.Cycles) {
-	if t.Prof != nil {
-		t.Prof.AddLeaf(ph, uint64(c))
-	}
+	t.Trace(TraceCycles, uint64(PhaseFence), cost.Fence)
 }
 
 // --- Reclamation hooks ----------------------------------------------------
@@ -400,15 +384,9 @@ func (t *Thread) Alloc(n int) word.Addr {
 // FreeNow immediately returns an object to the allocator (used by
 // reclaimers once an object is proven unreachable).
 func (t *Thread) FreeNow(p word.Addr) {
-	t.Trace(TraceFree, uint64(p))
-	before := t.vtime
+	t.Trace(TraceFree, uint64(p), cost.Free)
 	t.vtime += cost.Free
 	t.A.Free(t.ID, p)
-	if t.Prof != nil {
-		// Includes the poison stores' cost, so the whole reclamation
-		// shows under the free phase rather than its caller's span.
-		t.Prof.AddLeaf(metrics.PhaseFree, uint64(t.vtime-before))
-	}
 }
 
 // --- Registers -------------------------------------------------------------

@@ -108,10 +108,12 @@ func Encode(w io.Writer, s *State) error {
 	return err
 }
 
-// Decode reads and fully validates a snapshot from r. On any failure the
-// returned error wraps exactly one of ErrBadMagic, ErrVersion,
-// ErrTruncated, or ErrChecksum, and no State is returned — restore is
-// all-or-nothing by construction.
+// Decode reads and fully validates a snapshot from r. On any failure no
+// State is returned — restore is all-or-nothing by construction. A
+// damaged envelope fails with an error wrapping exactly one of
+// ErrBadMagic, ErrVersion, ErrTruncated, or ErrChecksum; a payload that
+// passes its checksum but is not this build's State fails with the gob
+// decoder's error.
 func Decode(r io.Reader) (*State, error) {
 	magic := make([]byte, len(Magic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -133,10 +135,13 @@ func Decode(r io.Reader) (*State, error) {
 	if n > maxPayload {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrTruncated, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Copy rather than allocate n up front: the header is untrusted, so
+	// memory grows only with the payload bytes actually present.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
 		return nil, fmt.Errorf("%w: payload declares %d bytes", ErrTruncated, n)
 	}
+	payload := buf.Bytes()
 	var tail [4]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return nil, fmt.Errorf("%w: checksum missing", ErrTruncated)

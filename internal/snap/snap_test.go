@@ -6,13 +6,16 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"stacktrack/internal/sched"
 )
 
-func sample(t *testing.T) []byte {
+func sample(t testing.TB) []byte {
 	t.Helper()
 	st := &State{
 		Sched: &sched.State{
@@ -128,4 +131,82 @@ func TestFileRoundTrip(t *testing.T) {
 	if got.Decisions() != 7 {
 		t.Fatalf("got decisions %d, want 7", got.Decisions())
 	}
+}
+
+// hugeHeader is a well-formed header declaring a 4 GiB payload, followed
+// by nothing.
+func hugeHeader() []byte {
+	b := []byte(Magic)
+	b = binary.BigEndian.AppendUint32(b, Version)
+	return binary.BigEndian.AppendUint64(b, 1<<32)
+}
+
+// TestHugeDeclaredLengthAllocatesLittle: the payload length comes from an
+// untrusted header, so Decode must not allocate it before the bytes
+// arrive. An 18-byte file declaring 4 GiB fails as truncated having
+// allocated well under 1 MiB.
+func TestHugeDeclaredLengthAllocatesLittle(t *testing.T) {
+	in := hugeHeader()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st, err := Decode(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) || st != nil {
+		t.Fatalf("want ErrTruncated and no state, got %v, %v", st, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("decoding an %d-byte input allocated %d bytes", len(in), grew)
+	}
+}
+
+// FuzzSnapDecode: Decode survives arbitrary input. It either fails with an
+// error wrapping one of the four sentinels — or, only when the envelope
+// is intact (its CRC matches), with the payload's gob decode error — or
+// returns a state that re-encodes to exactly the bytes it consumed.
+func FuzzSnapDecode(f *testing.F) {
+	f.Add(sample(f))
+	f.Add(hugeHeader())
+	f.Add([]byte(Magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		st, err := Decode(r)
+		if err != nil {
+			if st != nil {
+				t.Fatal("state returned alongside an error")
+			}
+			for _, sentinel := range []error{ErrBadMagic, ErrVersion, ErrTruncated, ErrChecksum} {
+				if errors.Is(err, sentinel) {
+					return
+				}
+			}
+			if !intactEnvelope(data) {
+				t.Fatalf("error wraps no sentinel on a damaged envelope: %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := Encode(&out, st); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		consumed := data[:len(data)-r.Len()]
+		if !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoding differs from the %d decoded bytes", len(consumed))
+		}
+	})
+}
+
+// intactEnvelope reports whether data holds a complete snapshot envelope
+// (magic, version, payload, CRC) whose checksum matches its payload.
+func intactEnvelope(data []byte) bool {
+	const hdr = len(Magic) + 12
+	if len(data) < hdr || string(data[:len(Magic)]) != Magic {
+		return false
+	}
+	n := binary.BigEndian.Uint64(data[len(Magic)+4 : hdr])
+	if n > uint64(len(data)-hdr) || uint64(len(data)-hdr)-n < 4 {
+		return false
+	}
+	payload := data[hdr : hdr+int(n)]
+	return crc32.ChecksumIEEE(payload) == binary.BigEndian.Uint32(data[hdr+int(n):])
 }

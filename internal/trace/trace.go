@@ -1,7 +1,10 @@
-// Package trace records simulation events into a bounded in-memory buffer
-// and renders them as a per-thread timeline. It exists for debugging and
-// teaching: `stsim -trace N` shows exactly how segments commit and abort,
-// when scans run, what they free, and where the scheduler preempts.
+// Package trace holds the simulator's lifecycle-event consumers (see
+// sched.Tracer). The Recorder keeps events in a bounded in-memory buffer
+// and renders them as a per-thread timeline: `stsim -trace N` shows
+// exactly how segments commit and abort, when scans run, what they free,
+// and where the scheduler preempts. The Profiler (profile.go) attributes
+// every virtual cycle to a phase and program block (`stsim -profile`).
+// Fanout joins several consumers onto one thread's seam.
 package trace
 
 import (
@@ -51,8 +54,13 @@ func NewRingRecorder(capacity int) *Recorder {
 	return r
 }
 
-// TraceEvent implements sched.Tracer.
-func (r *Recorder) TraceEvent(t *sched.Thread, k sched.TraceKind, arg uint64) {
+// TraceEvent implements sched.Tracer. The timeline narrates operations,
+// segments, scans, frees, preemptions and blocking; hand-offs, crashes
+// and cycle attribution (TraceHandoff onward) are not recorded.
+func (r *Recorder) TraceEvent(t *sched.Thread, k sched.TraceKind, arg uint64, _ cost.Cycles) {
+	if k >= sched.TraceHandoff {
+		return
+	}
 	e := Event{VTime: t.VTime(), Tid: t.ID, HW: t.HWContext(), Kind: k, Arg: arg}
 	if len(r.events) < r.cap {
 		r.events = append(r.events, e)
@@ -145,6 +153,26 @@ func abortName(v uint64) string {
 		return names[v]
 	}
 	return fmt.Sprintf("reason-%d", v)
+}
+
+// Fanout returns one tracer delivering each event to every given tracer in
+// order: nil for none, the tracer itself for one.
+func Fanout(ts ...sched.Tracer) sched.Tracer {
+	switch len(ts) {
+	case 0:
+		return nil
+	case 1:
+		return ts[0]
+	}
+	return tee(ts)
+}
+
+type tee []sched.Tracer
+
+func (ts tee) TraceEvent(t *sched.Thread, k sched.TraceKind, arg uint64, c cost.Cycles) {
+	for _, tr := range ts {
+		tr.TraceEvent(t, k, arg, c)
+	}
 }
 
 // Counts tallies events by kind (test and report support).

@@ -13,9 +13,10 @@ import (
 	"stacktrack/internal/trace"
 )
 
-func tracedRun(t *testing.T, events int) *bench.Result {
-	t.Helper()
-	res, err := bench.Run(bench.Config{
+// tracedConfig is the small traced StackTrack list run the recorder tests
+// share.
+func tracedConfig(events int) bench.Config {
+	return bench.Config{
 		Structure:     bench.StructList,
 		Scheme:        bench.SchemeStackTrack,
 		Threads:       3,
@@ -26,7 +27,12 @@ func tracedRun(t *testing.T, events int) *bench.Result {
 		MeasureCycles: cost.FromSeconds(0.003),
 		MemWords:      1 << 20,
 		TraceEvents:   events,
-	})
+	}
+}
+
+func tracedRun(t *testing.T, events int) *bench.Result {
+	t.Helper()
+	res, err := bench.Run(tracedConfig(events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestRecorderDefaultCapacity(t *testing.T) {
 func emitSeq(r *trace.Recorder, th *sched.Thread, n int) {
 	for i := 0; i < n; i++ {
 		th.Charge(10)
-		r.TraceEvent(th, sched.TraceOpStart, uint64(i))
+		r.TraceEvent(th, sched.TraceOpStart, uint64(i), 0)
 	}
 }
 
