@@ -611,7 +611,7 @@ func (in *instance) finish() (*Result, error) {
 	warmIns, warmDel, warmHits := in.warmIns, in.warmDel, in.warmHits
 	opsBefore, horizon := in.opsBefore, in.horizon
 
-	res := &Result{Config: cfg, Decisions: in.sc.Decisions()}
+	res := &Result{Config: cfg}
 	for _, t := range in.threads {
 		res.Ops += t.OpsDone
 	}
@@ -655,6 +655,7 @@ func (in *instance) finish() (*Result, error) {
 			res.PendingFrees += in.st.PendingFrees(t)
 		}
 	}
+	res.Decisions = in.sc.Decisions()
 	res.TotalInserts, res.TotalDeletes = in.succIns, in.succDel
 	res.UAFReads = in.uafReads
 	res.LiveObjects = in.al.Stats().LiveObjects

@@ -10,7 +10,7 @@ package explore
 //
 // Two campaign shapes share the core:
 //
-//   - Explore varies the workload seed, recording every run from scratch.
+//   - Explore varies the workload seed, starting every run from scratch.
 //   - ExploreForkHeap fixes the workload and varies the strategy seed over
 //     one warmed-up heap: a single default-rule run is checkpointed at the
 //     warmup boundary (internal/snap) and every campaign run forks that
@@ -100,7 +100,9 @@ func campaignFingerprint(cfg RunConfig, forkHeap bool) string {
 
 // LoadSeedProgress opens (or initializes) a progress file for the given
 // campaign. An existing file must match the campaign's fingerprint and
-// starting seed.
+// starting seed, and must be consistent: its frontier at or past the
+// first seed, no negative run count, and every done seed at or past the
+// frontier.
 func LoadSeedProgress(path string, cfg RunConfig, forkHeap bool) (*SeedProgress, error) {
 	cfg = cfg.WithDefaults()
 	first := cfg.Seed
@@ -131,6 +133,15 @@ func LoadSeedProgress(path string, cfg RunConfig, forkHeap bool) (*SeedProgress,
 	}
 	if saved.First != first {
 		return nil, fmt.Errorf("explore: progress file %s starts at seed %d, campaign at %d", path, saved.First, first)
+	}
+	if saved.Frontier < first || saved.Runs < 0 {
+		return nil, fmt.Errorf("explore: progress file %s is inconsistent: frontier %d before first seed %d, or %d runs",
+			path, saved.Frontier, first, saved.Runs)
+	}
+	for _, s := range saved.Done {
+		if s < saved.Frontier {
+			return nil, fmt.Errorf("explore: progress file %s lists seed %d as done beyond frontier %d", path, s, saved.Frontier)
+		}
 	}
 	p.Frontier = saved.Frontier
 	p.Runs = saved.Runs
@@ -209,8 +220,9 @@ func (p *SeedProgress) saveLocked() error {
 }
 
 // Explore fans workers host goroutines out over seeds cfg.Seed,
-// cfg.Seed+1, ... — each run records its schedule, so the returned failure
-// is immediately replayable and minimizable. workers <= 0 uses GOMAXPROCS.
+// cfg.Seed+1, ... — passing runs keep no schedule log, and a failing run
+// is re-run under a recording (see Record), so the returned failure is
+// immediately replayable and minimizable. workers <= 0 uses GOMAXPROCS.
 // Cancelling ctx stops the campaign at the next run boundary: completed
 // runs stand, the interrupted run is discarded, and the campaign returns
 // normally (callers that care distinguish via ctx.Err()).
@@ -224,7 +236,7 @@ func ExploreResumable(ctx context.Context, cfg RunConfig, workers int, budget Bu
 	cfg = cfg.WithDefaults()
 	// Validate the configuration once, up front, so workers can treat
 	// errors as fatal bugs instead of racing to report them.
-	if _, err := NewStrategy(cfg); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return campaign(ctx, workers, budget, cfg.Seed, prog, func(seed uint64) (*Outcome, error) {
@@ -243,7 +255,7 @@ func ExploreResumable(ctx context.Context, cfg RunConfig, workers int, budget Bu
 // deviations — every recorded artifact still replays from scratch.
 func ExploreForkHeap(ctx context.Context, cfg RunConfig, workers int, budget Budget, prog *SeedProgress) (*CampaignResult, error) {
 	cfg = cfg.WithDefaults()
-	if _, err := NewStrategy(cfg); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	bc := cfg.benchConfig() // Policy nil: the default virtual-time rule
@@ -266,38 +278,11 @@ func ExploreForkHeap(ctx context.Context, cfg RunConfig, workers int, budget Bud
 	})
 }
 
-// recordForked is Record over a forked warm snapshot: the strategy and the
-// recording both start at decision n0, where the snapshot was taken.
-// Restoring only reads the shared *snap.State, so concurrent workers fork
-// the same snapshot safely.
+// recordForked is Record over a forked warm snapshot: the strategy (and,
+// for a failing run, the recording) starts at decision n0, where the
+// snapshot was taken.
 func recordForked(cfg RunConfig, base *snap.State, n0 uint64) (*Outcome, error) {
-	strat, err := NewStrategy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rec := NewRecordingAt(strat, n0)
-	bc := cfg.benchConfig()
-	bc.Policy = rec
-	var crash any
-	var res *bench.Result
-	func() {
-		defer func() { crash = recover() }()
-		var ses *bench.Session
-		ses, err = bench.SessionFromSnapshot(bc, base)
-		if err != nil {
-			return
-		}
-		res, err = ses.Finish()
-	}()
-	if err != nil {
-		return nil, err
-	}
-	v := judge(cfg, res, crash)
-	log := &Log{Config: cfg, Decisions: rec.Decisions()}
-	if v.Failed {
-		log.Oracle = v.Oracle
-	}
-	return &Outcome{Config: cfg, Verdict: v, Log: log, Result: res, Steps: rec.Steps()}, nil
+	return record(cfg, cfg.benchConfig(), fromSnapshot(base), n0, false)
 }
 
 // campaign is the shared worker-pool core: claim a seed, run it, report

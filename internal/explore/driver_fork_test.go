@@ -6,6 +6,7 @@ package explore
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -118,15 +119,35 @@ func TestSeedProgressResume(t *testing.T) {
 	}
 }
 
-// TestSeedProgressCorruptFile: a malformed progress file is an error, not
-// a silent restart.
+// TestSeedProgressCorruptFile: a malformed or inconsistent progress file
+// is an error, not a silent restart.
 func TestSeedProgressCorruptFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "progress.json")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+	cfg := tinyCfg("list", "stacktrack", StrategyRandom, 1)
+	fresh, err := LoadSeedProgress(filepath.Join(t.TempDir(), "none.json"), cfg, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tinyCfg("list", "stacktrack", StrategyRandom, 1)
-	if _, err := LoadSeedProgress(path, cfg, false); err == nil {
-		t.Fatal("corrupt progress file accepted")
+	progress := func(frontier uint64, runs int, done ...uint64) string {
+		b, err := json.Marshal(&SeedProgress{
+			Fingerprint: fresh.Fingerprint, First: fresh.First, Frontier: frontier, Runs: runs, Done: done,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for name, data := range map[string]string{
+		"not json":              "{not json",
+		"frontier before first": progress(fresh.First-1, 0),
+		"negative runs":         progress(fresh.First, -1),
+		"done below frontier":   progress(fresh.First+2, 2, fresh.First+1),
+	} {
+		path := filepath.Join(t.TempDir(), "progress.json")
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSeedProgress(path, cfg, false); err == nil {
+			t.Errorf("%s: progress file accepted", name)
+		}
 	}
 }

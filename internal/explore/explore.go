@@ -12,11 +12,13 @@
 //     which reaches rare d-deep interleavings with provable probability
 //     where uniform random scheduling mostly revisits shallow ones.
 //
-//   - Schedule logs: every recorded run produces a compact artifact — the
+//   - Schedule logs: a recorded run produces a compact artifact — the
 //     run configuration, the strategy and its seed, and the sequence of
 //     scheduling decisions that *deviated* from the built-in rule. Because
 //     the simulation is deterministic, replaying the log reproduces the
 //     execution bit for bit (asserted by comparing full trace streams).
+//     The same determinism lets exploration run its strategies bare and
+//     record only a failing run, by running it again.
 //
 //   - Oracles: each run is judged for poison (use-after-free) reads, key
 //     conservation, allocator-level crashes (double free, wild pointer),
@@ -39,6 +41,8 @@ import (
 
 	"stacktrack/internal/bench"
 	"stacktrack/internal/cost"
+	"stacktrack/internal/mem"
+	"stacktrack/internal/reclaim"
 	"stacktrack/internal/sched"
 )
 
@@ -188,6 +192,49 @@ func (c RunConfig) benchConfig() bench.Config {
 		Sanitize:      c.CheckRaces,
 		CheckEffects:  c.CheckEffects,
 	}
+}
+
+// Limits validate enforces beyond what the harness itself checks: each
+// bounds an allocation a loaded schedule artifact would otherwise size.
+const (
+	maxDepth    = 1 << 10 // PCT keeps depth-1 change points
+	maxMemWords = 1 << 28 // 2 GiB of simulated memory
+)
+
+// validate reports, without building the machine, whether the defaulted
+// configuration names a known strategy, structure and scheme and whether
+// its sizes are ones the harness can run: a schedule artifact loaded from
+// disk must fail here, not panic inside the simulator.
+func (c RunConfig) validate() error {
+	c = c.WithDefaults()
+	switch c.Structure {
+	case bench.StructList, bench.StructHash, bench.StructSkipList, bench.StructQueue, bench.StructRBTree:
+	default:
+		return fmt.Errorf("explore: unknown structure %q", c.Structure)
+	}
+	if c.Scheme != bench.SchemeStackTrack && !reclaim.Known(c.Scheme) {
+		return fmt.Errorf("explore: unknown scheme %q", c.Scheme)
+	}
+	switch {
+	case c.Threads > mem.MaxThreads:
+		return fmt.Errorf("explore: %d threads exceeds the %d-thread limit", c.Threads, mem.MaxThreads)
+	case c.CrashThreads < 0 || c.CrashThreads > c.Threads:
+		return fmt.Errorf("explore: %d crash threads outside [0, %d]", c.CrashThreads, c.Threads)
+	case uint64(c.InitialSize) > c.KeyRange:
+		return fmt.Errorf("explore: initial size %d exceeds the key range %d", c.InitialSize, c.KeyRange)
+	case c.MutatePct < 0 || c.MutatePct > 100:
+		return fmt.Errorf("explore: mutate percentage %d outside [0, 100]", c.MutatePct)
+	case c.Buckets < 0 || c.QueuePrefill < 0:
+		return fmt.Errorf("explore: negative bucket count %d or queue prefill %d", c.Buckets, c.QueuePrefill)
+	case c.MemWords < 0 || c.MemWords > maxMemWords:
+		return fmt.Errorf("explore: %d memory words outside [0, %d]", c.MemWords, maxMemWords)
+	case c.Depth > maxDepth:
+		return fmt.Errorf("explore: PCT depth %d exceeds %d", c.Depth, maxDepth)
+	case !(c.PreemptProb >= 0 && c.PreemptProb <= 1):
+		return fmt.Errorf("explore: preemption probability %v outside [0, 1]", c.PreemptProb)
+	}
+	_, err := NewStrategy(c)
+	return err
 }
 
 // NewStrategy constructs the named strategy seeded with seed. The vtime

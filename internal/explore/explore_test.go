@@ -55,7 +55,7 @@ func TestNewStrategyRejectsUnknown(t *testing.T) {
 }
 
 func TestVTimeStrategyRecordsEmptyLog(t *testing.T) {
-	out, err := Record(tinyCfg("list", "stacktrack", StrategyVTime, 1))
+	out, _, err := RecordTraced(tinyCfg("list", "stacktrack", StrategyVTime, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestVTimeStrategyRecordsEmptyLog(t *testing.T) {
 
 func TestPerturbingStrategiesDeviate(t *testing.T) {
 	for _, strat := range []string{StrategyRandom, StrategyPCT} {
-		out, err := Record(tinyCfg("list", "stacktrack", strat, 1))
+		out, _, err := RecordTraced(tinyCfg("list", "stacktrack", strat, 1), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +87,11 @@ func TestPerturbingStrategiesDeviate(t *testing.T) {
 
 func TestRecordIsDeterministic(t *testing.T) {
 	cfg := tinyCfg("list", "hp", StrategyPCT, 3)
-	a, err := Record(cfg)
+	a, _, err := RecordTraced(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Record(cfg)
+	b, _, err := RecordTraced(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,5 +119,56 @@ func TestUnsafeSchemeFailsPoisonOracle(t *testing.T) {
 	}
 	if out.Log.Oracle != out.Verdict.Oracle {
 		t.Fatalf("log oracle %q != verdict oracle %q", out.Log.Oracle, out.Verdict.Oracle)
+	}
+}
+
+// TestRecordLogOnlyOnFailure pins Record's contract: a passing run keeps
+// no schedule log yet counts the same decisions as a recorded run, and a
+// failing run's log, materialized by the recording re-run, replays to the
+// same verdict.
+func TestRecordLogOnlyOnFailure(t *testing.T) {
+	for _, strat := range []string{StrategyRandom, StrategyPCT} {
+		cfg := tinyCfg("list", "stacktrack", strat, 1)
+		out, err := Record(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Verdict.Failed {
+			t.Fatalf("%s on a safe scheme failed: %s", strat, out.Verdict)
+		}
+		if out.Log != nil {
+			t.Errorf("%s: passing run carries a log of %d decisions", strat, len(out.Log.Decisions))
+		}
+		if out.Steps != out.Result.Decisions {
+			t.Errorf("%s: Steps %d, Result.Decisions %d", strat, out.Steps, out.Result.Decisions)
+		}
+		traced, _, err := RecordTraced(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Steps != traced.Steps {
+			t.Errorf("%s: bare run made %d decisions, recorded run %d", strat, out.Steps, traced.Steps)
+		}
+	}
+
+	out, err := Record(raceCfg("list", StrategyRandom, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Verdict.Failed {
+		t.Fatal("calibration drifted: random strategy no longer fails raceCfg seed 6")
+	}
+	if out.Log == nil {
+		t.Fatal("failing run carries no log")
+	}
+	if out.Log.Oracle != out.Verdict.Oracle {
+		t.Fatalf("log oracle %q != verdict oracle %q", out.Log.Oracle, out.Verdict.Oracle)
+	}
+	rep, _, err := ReplayLog(out.Log, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != out.Verdict {
+		t.Fatalf("materialized log replays to %s, recorded %s", rep.Verdict, out.Verdict)
 	}
 }

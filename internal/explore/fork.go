@@ -168,22 +168,9 @@ func newReplaySession(cfg RunConfig, decisions []Decision) (*bench.Session, erro
 func replayFromSnapshot(cfg RunConfig, e *snapEntry, decisions []Decision) (*Outcome, error) {
 	cfg = cfg.WithDefaults()
 	rp := NewReplayAt(decisions, e.n)
-	bc := cfg.benchConfig()
-	bc.Policy = rp
-	var crash any
-	var res *bench.Result
-	var err error
-	func() {
-		defer func() { crash = recover() }()
-		var ses *bench.Session
-		ses, err = bench.SessionFromSnapshot(bc, e.state)
-		if err != nil {
-			return
-		}
-		res, err = ses.Finish()
-	}()
+	res, v, err := runJudged(cfg, cfg.benchConfig(), rp, fromSnapshot(e.state))
 	if err != nil {
 		return nil, err
 	}
-	return &Outcome{Config: cfg, Verdict: judge(cfg, res, crash), Result: res, Applied: rp.Applied()}, nil
+	return &Outcome{Config: cfg, Verdict: v, Result: res, Applied: rp.Applied()}, nil
 }

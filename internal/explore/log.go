@@ -52,7 +52,8 @@ func (l *Log) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadLog reads a schedule artifact written by WriteFile.
+// LoadLog reads a schedule artifact written by WriteFile and rejects one
+// whose configuration fails RunConfig.validate.
 func LoadLog(path string) (*Log, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -66,6 +67,9 @@ func LoadLog(path string) (*Log, error) {
 		if l.Decisions[i].N <= l.Decisions[i-1].N {
 			return nil, fmt.Errorf("explore: %s: decisions not strictly ascending at index %d", path, i)
 		}
+	}
+	if err := l.Config.validate(); err != nil {
+		return nil, fmt.Errorf("explore: %s: %w", path, err)
 	}
 	return &l, nil
 }
@@ -106,11 +110,11 @@ func (r *Recording) Pick(s *sched.Scheduler, cands []int) int {
 	n := r.n
 	r.n++
 	r.cur = nil
-	got := r.inner.Pick(s, cands)
+	got, def := r.inner.Pick(s, cands), s.DefaultPick(cands)
 	if got < 0 || got >= len(cands) {
-		got = s.DefaultPick(cands)
+		got = def
 	}
-	if got != s.DefaultPick(cands) {
+	if got != def {
 		r.decisions = append(r.decisions, Decision{
 			N: n, Pick: got, Pre: -1, Tid: s.OccupantID(cands[got]),
 		})

@@ -97,6 +97,43 @@ func TestLoadLogRejectsUnsortedDecisions(t *testing.T) {
 	}
 }
 
+// TestLoadLogRejectsInvalidConfig: an artifact is input from outside the
+// program, so a configuration the harness cannot run must fail at load,
+// before any replay builds a machine from it.
+func TestLoadLogRejectsInvalidConfig(t *testing.T) {
+	base := tinyCfg("list", "unsafe", StrategyRandom, 1)
+	for name, mutate := range map[string]func(*RunConfig){
+		"strategy":     func(c *RunConfig) { c.Strategy = "quantum-foam" },
+		"structure":    func(c *RunConfig) { c.Structure = "heap" },
+		"scheme":       func(c *RunConfig) { c.Scheme = "gc" },
+		"threads":      func(c *RunConfig) { c.Threads = 1000 },
+		"crash":        func(c *RunConfig) { c.CrashThreads = -1 },
+		"key-range":    func(c *RunConfig) { c.KeyRange = uint64(c.InitialSize) - 1 },
+		"mutate":       func(c *RunConfig) { c.MutatePct = 101 },
+		"buckets":      func(c *RunConfig) { c.Buckets = -4 },
+		"mem-words":    func(c *RunConfig) { c.MemWords = 1 << 40 },
+		"depth":        func(c *RunConfig) { c.Depth = 1 << 40 },
+		"preempt-prob": func(c *RunConfig) { c.PreemptProb = 2 },
+	} {
+		cfg := base
+		mutate(&cfg)
+		path := filepath.Join(t.TempDir(), name+".schedule")
+		if err := (&Log{Config: cfg}).WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadLog(path); err == nil {
+			t.Errorf("%s: invalid configuration accepted: %+v", name, cfg)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ok.schedule")
+	if err := (&Log{Config: base}).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLog(path); err != nil {
+		t.Fatalf("valid configuration rejected: %v", err)
+	}
+}
+
 // TestReplayToleratesArbitrarySubsets: ddmin removes decision chunks with no
 // alignment fix-ups, so replay must accept any subset — decisions whose
 // moment never comes or whose pick is out of range are skipped, and the run

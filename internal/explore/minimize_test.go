@@ -51,7 +51,7 @@ func TestMinimizeShrinksScheduleDependentFailure(t *testing.T) {
 }
 
 func TestMinimizeRefusesPassingLog(t *testing.T) {
-	out, err := Record(tinyCfg("list", "stacktrack", StrategyRandom, 1))
+	out, _, err := RecordTraced(tinyCfg("list", "stacktrack", StrategyRandom, 1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package explore
 
-// Single-run execution: Record runs a strategy and captures its schedule
-// log; ReplayLog re-drives a run from a log. Both recover simulated crashes
-// (allocator panics) into the crash oracle instead of killing the process.
+// Single-run execution: Record runs a strategy and judges the run, keeping
+// a schedule log only when the verdict fails; ReplayLog re-drives a run
+// from a log. Both recover simulated crashes (allocator panics) into the
+// crash oracle instead of killing the process.
 
 import (
+	"fmt"
+
 	"stacktrack/internal/bench"
 	"stacktrack/internal/sched"
+	"stacktrack/internal/snap"
 	"stacktrack/internal/trace"
 )
 
@@ -14,7 +18,9 @@ import (
 type Outcome struct {
 	Config  RunConfig
 	Verdict Verdict
-	// Log is the recorded schedule (Record only; nil after ReplayLog).
+	// Log is the recorded schedule. Record and the explore driver set it
+	// iff the verdict failed; RecordTraced always sets it; nil after
+	// ReplayLog.
 	Log *Log
 	// Result is the raw harness result; nil when the run crashed.
 	Result *bench.Result
@@ -24,15 +30,31 @@ type Outcome struct {
 	Applied []Applied
 }
 
+// runFunc executes one configured simulation to completion: bench.Run
+// from the initial state, or fromSnapshot from a checkpoint.
+type runFunc func(bench.Config) (*bench.Result, error)
+
+// fromSnapshot resumes the simulation checkpointed in st. Restoring only
+// reads the shared *snap.State, so concurrent workers fork it safely.
+func fromSnapshot(st *snap.State) runFunc {
+	return func(bc bench.Config) (*bench.Result, error) {
+		ses, err := bench.SessionFromSnapshot(bc, st)
+		if err != nil {
+			return nil, err
+		}
+		return ses.Finish()
+	}
+}
+
 // runJudged executes one simulation under the given policy and judges it.
 // A non-nil error is a configuration problem; simulated crashes (allocator
 // panics) become the crash oracle's verdict instead.
-func runJudged(cfg RunConfig, bc bench.Config, policy sched.Policy) (res *bench.Result, v Verdict, err error) {
+func runJudged(cfg RunConfig, bc bench.Config, policy sched.Policy, run runFunc) (res *bench.Result, v Verdict, err error) {
 	bc.Policy = policy
 	var crash any
 	func() {
 		defer func() { crash = recover() }()
-		res, err = bench.Run(bc)
+		res, err = run(bc)
 	}()
 	if err != nil {
 		return nil, Verdict{}, err
@@ -40,18 +62,39 @@ func runJudged(cfg RunConfig, bc bench.Config, policy sched.Policy) (res *bench.
 	return res, judge(cfg, res, crash), nil
 }
 
-// Record runs cfg under its named strategy, recording the schedule, and
-// returns the judged outcome with a replayable log attached.
-func Record(cfg RunConfig) (*Outcome, error) {
-	cfg = cfg.WithDefaults()
+// record runs cfg under its strategy, resumed at decision n0 (0 for a run
+// from scratch), and judges it. Unless alwaysLog is set, the strategy runs
+// bare: a passing run allocates no schedule log. A failing run is repeated
+// under a Recording to materialize its deviation list; the run is a
+// function of cfg (strategy and StratSeed included), so the repeat must
+// reach the same verdict, and an error reports when it does not.
+func record(cfg RunConfig, bc bench.Config, run runFunc, n0 uint64, alwaysLog bool) (*Outcome, error) {
 	strat, err := NewStrategy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	rec := NewRecording(strat)
-	res, v, err := runJudged(cfg, cfg.benchConfig(), rec)
+	var bare Verdict
+	if !alwaysLog {
+		res, v, err := runJudged(cfg, bc, strat, run)
+		if err != nil {
+			return nil, err
+		}
+		if !v.Failed {
+			return &Outcome{Config: cfg, Verdict: v, Result: res, Steps: res.Decisions}, nil
+		}
+		bare = v
+		if strat, err = NewStrategy(cfg); err != nil {
+			return nil, err
+		}
+	}
+	rec := NewRecordingAt(strat, n0)
+	res, v, err := runJudged(cfg, bc, rec, run)
 	if err != nil {
 		return nil, err
+	}
+	if !alwaysLog && v != bare {
+		return nil, fmt.Errorf("explore: %s/%s seed %d, strategy %s seed %d: recording re-run judged %s, the bare run %s",
+			cfg.Structure, cfg.Scheme, cfg.Seed, cfg.Strategy, cfg.StratSeed, v, bare)
 	}
 	log := &Log{Config: cfg, Decisions: rec.Decisions()}
 	if v.Failed {
@@ -60,31 +103,31 @@ func Record(cfg RunConfig) (*Outcome, error) {
 	return &Outcome{Config: cfg, Verdict: v, Log: log, Result: res, Steps: rec.Steps()}, nil
 }
 
+// Record runs cfg under its named strategy and returns the judged
+// outcome. Only a failing run carries a replayable log: passing runs skip
+// the log entirely (see record).
+func Record(cfg RunConfig) (*Outcome, error) {
+	cfg = cfg.WithDefaults()
+	return record(cfg, cfg.benchConfig(), bench.Run, 0, false)
+}
+
 // RecordTraced is Record with an event trace attached to the run: ring
-// mode, so the tail (where failures live) survives any length of run.
+// mode, so the tail (where failures live) survives any length of run. It
+// is the diagnostic path, so it records the schedule of every run,
+// passing or not.
 func RecordTraced(cfg RunConfig, events int) (*Outcome, *trace.Recorder, error) {
 	cfg = cfg.WithDefaults()
-	strat, err := NewStrategy(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := NewRecording(strat)
 	bc := cfg.benchConfig()
 	bc.TraceEvents = events
 	bc.RingTrace = true
-	res, v, err := runJudged(cfg, bc, rec)
+	out, err := record(cfg, bc, bench.Run, 0, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	log := &Log{Config: cfg, Decisions: rec.Decisions()}
-	if v.Failed {
-		log.Oracle = v.Oracle
-	}
-	out := &Outcome{Config: cfg, Verdict: v, Log: log, Result: res, Steps: rec.Steps()}
-	if res == nil {
+	if out.Result == nil {
 		return out, nil, nil
 	}
-	return out, res.Trace, nil
+	return out, out.Result.Trace, nil
 }
 
 // ReplayLog re-drives the simulation from a schedule log and judges it.
@@ -97,7 +140,7 @@ func ReplayLog(log *Log, events int) (*Outcome, *trace.Recorder, error) {
 		bc.TraceEvents = events
 		bc.RingTrace = true
 	}
-	res, v, err := runJudged(cfg, bc, rp)
+	res, v, err := runJudged(cfg, bc, rp, bench.Run)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,8 @@ package explore
 // seeded stream, never the host, so a (strategy, seed) pair is replayable.
 
 import (
+	"math"
+
 	"stacktrack/internal/rng"
 	"stacktrack/internal/sched"
 )
@@ -70,11 +72,16 @@ const pctDefaultSteps = 200_000
 type PCT struct {
 	rng     *rng.Rand
 	depth   int
-	prio    map[int]int // thread id -> priority (higher runs first)
-	changes []uint64    // decision counts at which to demote
-	n       uint64      // decisions made
-	nextLow int         // next demotion priority (d-1, d-2, ...)
+	prio    []int    // thread id -> priority (higher runs first)
+	changes []uint64 // decision counts at which to demote
+	n       uint64   // decisions made
+	nextLow int      // next demotion priority (d-1, d-2, ...)
 }
+
+// unassignedPrio marks a prio slot whose thread has not been seen yet.
+// Real priorities are positive: initial ones are >= depth, demoted ones
+// count down from depth-1 to 1.
+const unassignedPrio = math.MinInt
 
 // NewPCT returns a PCT strategy of the given depth; steps bounds the
 // uniform sample range for the d−1 priority-change points.
@@ -88,7 +95,6 @@ func NewPCT(seed uint64, depth, steps int) *PCT {
 	p := &PCT{
 		rng:     rng.New(seed),
 		depth:   depth,
-		prio:    make(map[int]int),
 		nextLow: depth - 1,
 	}
 	for i := 0; i < depth-1; i++ {
@@ -98,10 +104,13 @@ func NewPCT(seed uint64, depth, steps int) *PCT {
 }
 
 // priority lazily assigns thread id its random initial priority in
-// [depth, depth+threads): distinct except for astronomically unlikely
-// collisions, which only blur the ordering, not correctness.
+// [depth, depth+2^16): distinct except for rare collisions, which only
+// blur the ordering, not correctness.
 func (p *PCT) priority(tid int) int {
-	if pr, ok := p.prio[tid]; ok {
+	for tid >= len(p.prio) {
+		p.prio = append(p.prio, unassignedPrio)
+	}
+	if pr := p.prio[tid]; pr != unassignedPrio {
 		return pr
 	}
 	pr := p.depth + p.rng.Intn(1<<16)

@@ -66,3 +66,11 @@ func NewScheme(name string, sc *sched.Scheduler, al *alloc.Allocator) (sched.Rec
 		return nil, fmt.Errorf("reclaim: unknown scheme %q", name)
 	}
 }
+
+// Known reports whether NewScheme accepts name. The constructors keep
+// their scheduler and allocator without calling them, so probing with
+// neither is safe.
+func Known(name string) bool {
+	_, err := NewScheme(name, nil, nil)
+	return err == nil
+}
