@@ -4,10 +4,12 @@ package bench
 // scheme × thread-count point must produce byte-identical simulated
 // results on the optimized host paths and on the reference paths — the
 // slow plain-access route of internal/mem (taken whenever an observer is
-// installed) and the scheduler's per-decision runnable rescan.
+// installed) and the scheduler's per-decision runnable rescan. The
+// optimized run's scheduler takes its policy-free keyed loop.
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -70,11 +72,20 @@ func TestHostPathsBitIdentical(t *testing.T) {
 	structures := []string{StructList, StructSkipList, StructQueue, StructHash, StructRBTree}
 	for _, structure := range structures {
 		for _, scheme := range identitySchemes(structure) {
-			for _, threads := range []int{2, 7} {
+			// 12 threads oversubscribe the 8-context machine (rotation).
+			// Under Epoch a crashed thread leaves the others polling a
+			// grace period that never ends (blocked waits).
+			runs := []struct{ threads, crash int }{{2, 0}, {7, 0}, {12, 0}}
+			if scheme == SchemeEpoch {
+				runs = append(runs, struct{ threads, crash int }{12, 1})
+			}
+			for _, run := range runs {
+				threads := run.threads
 				cfg := Config{
 					Structure:     structure,
 					Scheme:        scheme,
 					Threads:       threads,
+					CrashThreads:  run.crash,
 					Seed:          0x57ACC7AC4,
 					InitialSize:   120,
 					KeyRange:      240,
@@ -85,13 +96,14 @@ func TestHostPathsBitIdentical(t *testing.T) {
 					MemWords:      1 << 20,
 					Validate:      true,
 				}
+				name := fmt.Sprintf("%s/%s/%d/crash=%d", structure, scheme, threads, run.crash)
 				opt, err := Run(cfg)
 				if err != nil {
-					t.Fatalf("%s/%s/%d optimized: %v", structure, scheme, threads, err)
+					t.Fatalf("%s optimized: %v", name, err)
 				}
 				ref, err := runReference(cfg)
 				if err != nil {
-					t.Fatalf("%s/%s/%d reference: %v", structure, scheme, threads, err)
+					t.Fatalf("%s reference: %v", name, err)
 				}
 				do, err := simDigest(scheme, threads, opt)
 				if err != nil {
@@ -102,12 +114,12 @@ func TestHostPathsBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(do) != string(dr) {
-					t.Errorf("%s/%s/%d: optimized and reference host paths disagree\noptimized: %s\nreference: %s",
-						structure, scheme, threads, do, dr)
+					t.Errorf("%s: optimized and reference host paths disagree\noptimized: %s\nreference: %s",
+						name, do, dr)
 				}
 				if opt.FinalCount != ref.FinalCount || opt.LiveObjects != ref.LiveObjects {
-					t.Errorf("%s/%s/%d: drain state differs: count %d vs %d, live %d vs %d",
-						structure, scheme, threads, opt.FinalCount, ref.FinalCount,
+					t.Errorf("%s: drain state differs: count %d vs %d, live %d vs %d",
+						name, opt.FinalCount, ref.FinalCount,
 						opt.LiveObjects, ref.LiveObjects)
 				}
 			}
@@ -115,16 +127,25 @@ func TestHostPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// hostFlag reads one of the unexported host-path flags (mem.Memory's
-// fastPlain, sched.Scheduler's fastPick) that the lower packages keep
-// private.
+// hostFlag reads mem.Memory's unexported fastPlain host-path flag.
 func hostFlag(ptr any, field string) bool {
 	return reflect.ValueOf(ptr).Elem().FieldByName(field).Bool()
 }
 
+// Values of sched.Scheduler's unexported loop field: the decision loop
+// its last Run call took.
+const (
+	loopRescan = 0 // the legacy per-decision rescan
+	loopKeyed  = 2 // the policy-free keyed loop
+)
+
+func hostLoop(sc any) uint64 {
+	return reflect.ValueOf(sc).Elem().FieldByName("loop").Uint()
+}
+
 // TestHostPathSelection pins that the optimized paths are really on for
 // a harness-built instance — it starts on the plain-memory fast path and
-// its scheduler runs on the incremental ready set — and that
+// its scheduler runs the keyed loop — and that
 // runReference's instance really takes the reference paths, so the
 // bit-identity sweep above compares two different routes.
 func TestHostPathSelection(t *testing.T) {
@@ -143,8 +164,12 @@ func TestHostPathSelection(t *testing.T) {
 		if _, err := s.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		if got := hostFlag(s.in.sc, "fastPick"); got == ref {
-			t.Errorf("reference=%v: scheduler ran on the incremental ready set = %v", ref, got)
+		want := uint64(loopKeyed)
+		if ref {
+			want = loopRescan
+		}
+		if got := hostLoop(s.in.sc); got != want {
+			t.Errorf("reference=%v: scheduler took loop %d, want %d", ref, got, want)
 		}
 	}
 }

@@ -133,24 +133,27 @@ func TestSessionFinishMatchesRun(t *testing.T) {
 // TestPauseResumeBitIdentical: pausing mid-run (several times) and
 // resuming in the same session does not perturb the schedule.
 func TestPauseResumeBitIdentical(t *testing.T) {
-	cfg := quickCfg(SchemeStackTrack)
-	want := mustRun(t, cfg)
-	total := totalDecisions(t, cfg)
+	over := quickCfg(SchemeStackTrack)
+	over.Threads = 12 // oversubscribes the 8-context machine
+	for _, cfg := range []Config{quickCfg(SchemeStackTrack), over} {
+		want := mustRun(t, cfg)
+		total := totalDecisions(t, cfg)
 
-	ses, err := NewSession(cfg)
-	if err != nil {
-		t.Fatalf("NewSession: %v", err)
-	}
-	for _, frac := range []uint64{10, 3, 2} { // mid-warmup through mid-measure
-		if !ses.RunToDecision(total / frac) {
-			t.Fatalf("pause at %d/%d did not fire", total, frac)
+		ses, err := NewSession(cfg)
+		if err != nil {
+			t.Fatalf("NewSession: %v", err)
 		}
+		for _, frac := range []uint64{10, 3, 2} { // mid-warmup through mid-measure
+			if !ses.RunToDecision(total / frac) {
+				t.Fatalf("%d threads: pause at %d/%d did not fire", cfg.Threads, total, frac)
+			}
+		}
+		got, err := ses.Finish()
+		if err != nil {
+			t.Fatalf("Finish: %v", err)
+		}
+		assertSameRun(t, fmt.Sprintf("pause-resume, %d threads", cfg.Threads), want, got)
 	}
-	got, err := ses.Finish()
-	if err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	assertSameRun(t, "pause-resume", want, got)
 }
 
 // TestSnapshotRestoreBitIdentical: snapshot at several positions (and

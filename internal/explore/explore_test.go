@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"encoding/json"
 	"testing"
 
+	"stacktrack/internal/bench"
 	"stacktrack/internal/cost"
 )
 
@@ -170,5 +172,43 @@ func TestRecordLogOnlyOnFailure(t *testing.T) {
 	}
 	if rep.Verdict != out.Verdict {
 		t.Fatalf("materialized log replays to %s, recorded %s", rep.Verdict, out.Verdict)
+	}
+}
+
+// TestRecordVTimeMatchesPolicy pins that Record's bare vtime run, which
+// installs no policy and so takes the scheduler's policy-free loop, is
+// the same run as one under an explicit VTime policy, which takes the
+// Policy loop: same verdict, decision count and simulated metrics.
+func TestRecordVTimeMatchesPolicy(t *testing.T) {
+	for _, structure := range []string{"list", "hash", "skiplist"} {
+		cfg := tinyCfg(structure, "stacktrack", StrategyVTime, 1)
+		cfg.Threads = 12 // oversubscribed: rotation on both loops
+		cfg.CheckLin = true
+		out, err := Record(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg.WithDefaults()
+		res, v, err := runJudged(c, c.benchConfig(), VTime{}, bench.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Verdict != v {
+			t.Errorf("%s: bare verdict %s, VTime policy %s", structure, out.Verdict, v)
+		}
+		if out.Steps != res.Decisions {
+			t.Errorf("%s: bare run made %d decisions, VTime policy %d", structure, out.Steps, res.Decisions)
+		}
+		got, err := json.Marshal(out.Result.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(res.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: bare run's metrics differ from the VTime policy run's", structure)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func runJudged(cfg RunConfig, bc bench.Config, policy sched.Policy, run runFunc)
 
 // record runs cfg under its strategy, resumed at decision n0 (0 for a run
 // from scratch), and judges it. Unless alwaysLog is set, the strategy runs
-// bare: a passing run allocates no schedule log. A failing run is repeated
+// bare (vtime as no policy): a passing run allocates no schedule log. A failing run is repeated
 // under a Recording to materialize its deviation list; the run is a
 // function of cfg (strategy and StratSeed included), so the repeat must
 // reach the same verdict, and an error reports when it does not.
@@ -75,7 +75,15 @@ func record(cfg RunConfig, bc bench.Config, run runFunc, n0 uint64, alwaysLog bo
 	}
 	var bare Verdict
 	if !alwaysLog {
-		res, v, err := runJudged(cfg, bc, strat, run)
+		// The vtime strategy is the scheduler's built-in rule, so it runs
+		// as no policy at all, on the scheduler's policy-free loop. A
+		// failing run's recording re-run takes the Policy loop, so the
+		// verdict check below cross-checks the two loops.
+		policy := strat
+		if _, ok := strat.(VTime); ok {
+			policy = nil
+		}
+		res, v, err := runJudged(cfg, bc, policy, run)
 		if err != nil {
 			return nil, err
 		}

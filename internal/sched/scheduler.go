@@ -72,7 +72,7 @@ type Scheduler struct {
 	policy Policy
 	cands  []int // runnable-candidate buffer (ascending context ids)
 
-	// Incrementally maintained ready structure. A context's runnability
+	// Incrementally maintained ready structures. A context's runnability
 	// only changes when its occupant's virtual clock or its queue changes
 	// (step, blocked poll, rotate, retire, crash, AddThread) or when the
 	// horizon moves (once per Run call) — so instead of rescanning every
@@ -80,14 +80,15 @@ type Scheduler struct {
 	// only dirty contexts are re-evaluated, in ascending id order, before
 	// the next pick. Untouched contexts are pure no-ops under the legacy
 	// scan, so the side-effect sequence (horizon rotations, retirements)
-	// is bit-identical. occVT caches each ready context's occupant clock
-	// so DefaultPick scans a flat array instead of chasing pointers.
-	fastReady  bool // topology fits the 64-bit dirty mask
-	legacyScan bool // force the per-decision O(contexts) rescan
-	fastPick   bool // occVT is fresh (maintained while Run is in fast mode)
+	// is bit-identical. The Policy loop keeps the ascending candidate list
+	// (ready, cands); the policy-free loop keeps one pick key per context
+	// (keys, see runKeyed).
+	fastReady  bool     // topology fits the 64-bit dirty mask
+	legacyScan bool     // force the per-decision O(contexts) rescan
+	loop       loopKind // the loop the last Run call took
 	dirtyMask  uint64
 	ready      []bool
-	occVT      []cost.Cycles
+	keys       []uint64
 
 	// Sibling-activity cache: ctxLive[c] mirrors "context c's queue has a
 	// live occupant", coreLive[k] counts live contexts on core k. Both are
@@ -130,7 +131,10 @@ func NewScheduler(m *mem.Memory, tp topo.Topology, seed uint64) *Scheduler {
 	s.fastReady = n <= 64
 	s.cands = make([]int, 0, n)
 	s.ready = make([]bool, n)
-	s.occVT = make([]cost.Cycles, n)
+	s.keys = make([]uint64, (n+7)&^7)
+	for i := range s.keys {
+		s.keys[i] = keyNotReady // padding; runKeyed sets the first n
+	}
 	s.ctxLive = make([]bool, n)
 	s.coreLive = make([]int32, tp.Cores)
 	s.coreOf = make([]int32, n)
@@ -188,13 +192,9 @@ func (s *Scheduler) setLive(ctx *hwContext, live bool) {
 
 // refreshContext re-evaluates one context's runnability (with runnable's
 // usual side effects: retiring finished occupants, rotating past
-// out-of-horizon ones) and patches the candidate list and occupant-clock
-// cache to match.
+// out-of-horizon ones) and patches the candidate list to match.
 func (s *Scheduler) refreshContext(id int, until cost.Cycles) {
 	ok := s.runnable(s.contexts[id], until)
-	if ok {
-		s.occVT[id] = s.contexts[id].queue[0].vtime
-	}
 	if ok == s.ready[id] {
 		return
 	}
@@ -272,18 +272,6 @@ func (s *Scheduler) SliceElapsed(ctx int) cost.Cycles {
 // is ascending, so the first minimum wins).
 func (s *Scheduler) DefaultPick(cands []int) int {
 	best := 0
-	if s.fastPick && len(cands) > 0 {
-		// Fast mode keeps every candidate's occupant clock in a flat
-		// array, so the min scan is one load per candidate instead of
-		// three dependent pointer dereferences.
-		bv := s.occVT[cands[0]]
-		for i := 1; i < len(cands); i++ {
-			if v := s.occVT[cands[i]]; v < bv {
-				bv, best = v, i
-			}
-		}
-		return best
-	}
 	for i := 1; i < len(cands); i++ {
 		if s.contexts[cands[i]].queue[0].vtime < s.contexts[cands[best]].queue[0].vtime {
 			best = i
@@ -380,18 +368,178 @@ func (s *Scheduler) ClearPause() { s.pauseDecOn, s.pauseVTOn = false, false }
 // one-shot: calling Run again continues past it.
 func (s *Scheduler) Paused() bool { return s.pausedFlag }
 
+// loopKind names the decision loop a Run call takes.
+type loopKind uint8
+
+const (
+	// loopRescan re-collects the candidates with an O(contexts) scan per
+	// decision: the reference path, and the only one for topologies wider
+	// than the 64-bit dirty mask.
+	loopRescan loopKind = iota
+	// loopReady keeps the candidate list incrementally: the path for an
+	// installed Policy and for an armed PauseAtVTime.
+	loopReady
+	// loopKeyed is the policy-free loop over the per-context pick keys
+	// (runKeyed): the built-in virtual-time rule with nothing armed but
+	// an optional PauseAtDecision.
+	loopKeyed
+)
+
+// Pick keys of the policy-free loop. A ready context's key holds, from
+// the top, its occupant's virtual clock, the context id and the
+// occupant's thread id, 6 bits each. One unsigned minimum over the keys
+// is DefaultPick's rule (lowest clock, ties to the lowest context id),
+// and the winning key names both the context and the thread to step, so
+// the loop reaches them without walking the context's queue. A context
+// with nothing to step holds keyNotReady. The encoding needs at most 64
+// contexts and thread ids below 64 (mem.MaxThreads, which the per-thread
+// metric lanes enforce), and every ready clock below 2^52 cycles (about
+// 19 virtual days at cost.ClockHz): a ready occupant is below the
+// horizon, so Run takes the keyed loop only for horizons under
+// keyedHorizonLimit.
+const (
+	keyIDBits         = 6
+	keyIDMask         = 1<<keyIDBits - 1
+	keyClockShift     = 2 * keyIDBits
+	keyNotReady       = ^uint64(0)
+	keyedHorizonLimit = cost.Cycles(1) << (64 - keyClockShift)
+)
+
+// pickKey is the key of context ctx whose occupant t is ready.
+func pickKey(ctx int, t *Thread) uint64 {
+	return uint64(t.vtime)<<keyClockShift | uint64(ctx)<<keyIDBits | uint64(t.ID)
+}
+
 // Run steps threads until every live thread's virtual clock reaches the
 // `until` cycle count or all steppers report completion. It may be called
 // repeatedly with increasing horizons (warmup, then measurement).
+//
+// Three loops make the same decisions: the policy-free keyed loop, the
+// Policy loop over the incremental ready set, and the legacy rescan. Run
+// takes the keyed loop unless a Policy, an armed PauseAtVTime or a
+// horizon the keys cannot encode needs the ready set, or SetLegacyScan or
+// a topology wider than 64 contexts needs the rescan.
 func (s *Scheduler) Run(until cost.Cycles) {
 	s.pausedFlag = false
-	fast := s.fastReady && !s.legacyScan
-	s.fastPick = fast
+	switch {
+	case !s.fastReady || s.legacyScan:
+		s.loop = loopRescan
+		s.runGeneral(until)
+	case s.policy != nil || s.pauseVTOn || until >= keyedHorizonLimit:
+		s.loop = loopReady
+		s.runGeneral(until)
+	default:
+		s.loop = loopKeyed
+		s.runKeyed(until)
+	}
+}
+
+// runKeyed is the decision loop of the built-in virtual-time rule. It
+// picks branch-free from the key array, treats an armed PauseAtDecision
+// as its loop bound, and after a step rewrites only the stepped context's
+// key when that is all the ascending dirty refresh would do.
+func (s *Scheduler) runKeyed(until cost.Cycles) {
+	// The horizon moved (and anything may have mutated between Run
+	// calls): rebuild every key with a full ascending scan, which has
+	// exactly the side effects of the legacy scan's first iteration.
+	keys := s.keys
+	for id := range s.contexts {
+		s.refreshKey(id, until)
+	}
+	s.dirtyMask = 0
+	stop := ^uint64(0)
+	if s.pauseDecOn {
+		stop = s.pauseDec
+	}
+	for {
+		if m := s.dirtyMask; m != 0 {
+			// Same ascending order, and so the same rotate/retire
+			// side-effect sequence, as the legacy scan.
+			for m != 0 {
+				id := bits.TrailingZeros64(m)
+				m &^= 1 << uint(id)
+				s.refreshKey(id, until)
+			}
+			s.dirtyMask = 0
+		}
+		best := minKey(keys)
+		if best == keyNotReady {
+			return
+		}
+		if s.decisions >= stop {
+			s.pauseDecOn = false
+			s.pausedFlag = true
+			return
+		}
+		s.decisions++
+		id, tid := int(best>>keyIDBits&keyIDMask), int(best&keyIDMask)
+		ctx, t := s.contexts[id], s.threads[tid]
+		if len(ctx.queue) > 1 && s.DefaultPreempt(id) {
+			s.rotate(ctx, until)
+			continue
+		}
+		if t.Blocked != nil && s.pollBlocked(ctx, t) {
+			s.settleKey(id, t, until)
+			continue
+		}
+		if s.stepOccupant(ctx, t, s.steppers[tid], until) {
+			continue
+		}
+		s.settleKey(id, t, until)
+	}
+}
+
+// minKey returns the smallest key. keys is padded with keyNotReady to a
+// whole number of 8-key blocks, and each block reduces as a three-level
+// tree. The minimum rotates among the contexts, so a compare-and-branch
+// would mispredict; min compiles to conditional moves only where its
+// result does not feed a load address, which runKeyed's result does, so
+// minKey must not be inlined there.
+//
+//go:noinline
+func minKey(keys []uint64) uint64 {
+	best := keyNotReady
+	for ; len(keys) >= 8; keys = keys[8:] {
+		k := (*[8]uint64)(keys)
+		best = min(best, min(min(k[0], k[1]), min(k[2], k[3])), min(min(k[4], k[5]), min(k[6], k[7])))
+	}
+	return best
+}
+
+// refreshKey re-evaluates one context's runnability (with runnable's
+// side effects) and rewrites its pick key to match.
+func (s *Scheduler) refreshKey(id int, until cost.Cycles) {
+	ctx := s.contexts[id]
+	if s.runnable(ctx, until) {
+		s.keys[id] = pickKey(id, ctx.queue[0])
+	} else {
+		s.keys[id] = keyNotReady
+	}
+}
+
+// settleKey re-keys context id after its occupant t stepped or polled.
+// If no context is dirty and t is neither done (SetDone may fire inside a
+// step) nor at the horizon, refreshKey would find t runnable with no side
+// effects, so the key is rewritten in place. Otherwise the context joins
+// the ascending dirty refresh, which keeps rotate, retire and crash side
+// effects in the legacy scan's order.
+func (s *Scheduler) settleKey(id int, t *Thread, until cost.Cycles) {
+	if s.dirtyMask == 0 && !t.done && t.vtime < until {
+		s.keys[id] = pickKey(id, t)
+		return
+	}
+	s.markDirty(id)
+}
+
+// runGeneral is the decision loop for an installed Policy, an armed
+// PauseAtVTime and the legacy rescan: it gathers the ascending candidate
+// list, on the incremental ready set (loopReady) or by a full rescan per
+// decision (loopRescan), and asks the policy or DefaultPick.
+func (s *Scheduler) runGeneral(until cost.Cycles) {
+	fast := s.loop == loopReady
 	if fast {
-		// The horizon moved (and anything may have mutated between Run
-		// calls): rebuild the ready set with a full ascending scan. This
-		// reproduces exactly the side effects the legacy scan would have
-		// had on its first iteration.
+		// Rebuild the ready set with a full ascending scan, as runKeyed
+		// rebuilds its keys.
 		s.cands = s.cands[:0]
 		for i := range s.ready {
 			s.ready[i] = false
@@ -405,11 +553,6 @@ func (s *Scheduler) Run(until cost.Cycles) {
 		var cands []int
 		if fast {
 			if m := s.dirtyMask; m != 0 {
-				// Re-evaluate only the contexts touched since the last
-				// decision, in ascending id order — the same order (and
-				// therefore the same rotate/retire side-effect sequence)
-				// the legacy full scan produces, because clean contexts
-				// contribute no side effects.
 				for m != 0 {
 					id := bits.TrailingZeros64(m)
 					m &^= 1 << uint(id)
@@ -465,50 +608,63 @@ func (s *Scheduler) Run(until cost.Cycles) {
 			}
 		}
 
-		if t.Blocked != nil {
-			if t.Blocked() {
-				t.Blocked = nil
-				t.pollBackoff = 0
-			} else {
-				// Spin-wait with exponential backoff (pause loop
-				// escalating toward a yield), so a wait that never
-				// completes — e.g. on a crashed thread — does not
-				// dominate the simulation.
-				c := blockedPollCost << t.pollBackoff
-				if t.pollBackoff < 12 {
-					t.pollBackoff++
-				}
-				t.Charge(c)
-				s.ctrPolls.Inc(t.ID)
-				t.Trace(TraceCycles, uint64(PhaseBlocked), c)
-				ctx.clock = t.vtime
-				s.markDirty(ctx.id)
-				continue
-			}
-		}
-
-		before := t.vtime
-		if s.steppers[t.ID].Step(t) {
-			t.done = true
-			s.retireFromContext(ctx, until)
+		if t.Blocked != nil && s.pollBlocked(ctx, t) {
+			s.markDirty(ctx.id)
 			continue
 		}
-		// One sibling-activity lookup feeds both the HT-slowdown charge and
-		// the probabilistic eviction below.
-		sib := s.siblingLive(t.hw)
-		if sib && s.Topo.HTSlowdown > 0 {
-			// Shared execution units: the step takes longer while the
-			// sibling hyperthread is busy.
-			extra := cost.Cycles(float64(t.vtime-before) * s.Topo.HTSlowdown)
-			t.Charge(extra)
-			t.Trace(TraceCycles, uint64(PhaseHTSlow), extra)
+		if !s.stepOccupant(ctx, t, s.steppers[t.ID], until) {
+			s.markDirty(ctx.id)
 		}
-		if sib {
-			s.maybeSiblingEvict(t)
-		}
-		ctx.clock = t.vtime
-		s.markDirty(ctx.id)
 	}
+}
+
+// pollBlocked polls the wake condition of ctx's blocked occupant t. It
+// reports whether t is still blocked, in which case the poll has been
+// charged: a spin-wait with exponential backoff (a pause loop escalating
+// toward a yield), so a wait that never completes — e.g. on a crashed
+// thread — does not dominate the simulation.
+func (s *Scheduler) pollBlocked(ctx *hwContext, t *Thread) bool {
+	if t.Blocked() {
+		t.Blocked = nil
+		t.pollBackoff = 0
+		return false
+	}
+	c := blockedPollCost << t.pollBackoff
+	if t.pollBackoff < 12 {
+		t.pollBackoff++
+	}
+	t.Charge(c)
+	s.ctrPolls.Inc(t.ID)
+	t.Trace(TraceCycles, uint64(PhaseBlocked), c)
+	ctx.clock = t.vtime
+	return true
+}
+
+// stepOccupant steps ctx's occupant t by one block of its stepper st and
+// charges the sibling-hyperthread effects. It reports whether t's
+// workload finished, in which case t has been retired from ctx.
+func (s *Scheduler) stepOccupant(ctx *hwContext, t *Thread, st Stepper, until cost.Cycles) bool {
+	before := t.vtime
+	if st.Step(t) {
+		t.done = true
+		s.retireFromContext(ctx, until)
+		return true
+	}
+	// One sibling-activity lookup feeds both the HT-slowdown charge and
+	// the probabilistic eviction below.
+	sib := s.siblingLive(t.hw)
+	if sib && s.Topo.HTSlowdown > 0 {
+		// Shared execution units: the step takes longer while the
+		// sibling hyperthread is busy.
+		extra := cost.Cycles(float64(t.vtime-before) * s.Topo.HTSlowdown)
+		t.Charge(extra)
+		t.Trace(TraceCycles, uint64(PhaseHTSlow), extra)
+	}
+	if sib && t.Tx != nil {
+		s.maybeSiblingEvict(t)
+	}
+	ctx.clock = t.vtime
+	return false
 }
 
 // runnableContexts collects the ids of every context with an occupant that
